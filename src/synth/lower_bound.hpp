@@ -35,6 +35,12 @@
 /// `max_vars`) must be treated as *feasible* by callers — the sweep then
 /// decides the level exactly, so the probe can only ever skip work, never
 /// change results.
+///
+/// The engine (`stp_level_engine::probe_sweep`) does not ask the probe
+/// everything: the read-once level of a complete single-output target
+/// (support size - 1 gates) is decided by the DSD check instead, and a
+/// `feasible` witness judged like a swept chain answers a one-chain
+/// request (`max_solutions == 1`) without a sweep.
 
 #pragma once
 
@@ -76,9 +82,10 @@ struct probe_result {
   probe_verdict verdict = probe_verdict::unknown;
   /// CNF solver calls made (== pruned fences attempted).
   std::uint64_t solver_calls = 0;
-  /// On `feasible`: the chain decoded from the SAT model.  A deadline-cut
-  /// sweep of the winning level can fall back on it — the smaller levels
-  /// are refuted, so this single chain already proves the optimum.
+  /// On `feasible`: the chain decoded from the SAT model.  The smaller
+  /// levels are refuted, so this single chain already proves the optimum:
+  /// it answers one-chain requests, and a deadline-cut sweep of the
+  /// winning level falls back on it.
   std::optional<chain::boolean_chain> witness;
 };
 

@@ -17,6 +17,7 @@
 #include "fence/fence.hpp"
 #include "service/thread_pool.hpp"
 #include "synth/factor_memo.hpp"
+#include "tt/dsd.hpp"
 #include "util/flat_set64.hpp"
 
 namespace stpes::synth {
@@ -25,6 +26,43 @@ namespace {
 
 using fence::dag_topology;
 using fence::kPiSlot;
+
+/// Section III-C judging of one finished chain, shared by every path that
+/// returns a chain: simulate it against the specification, then run the
+/// circuit AllSAT solver over the network and check that its solution set
+/// (f_s) simulates to the same function.  A single-output chain must be
+/// accepted by `target` (acceptance by the ISF generalizes the paper's
+/// equality test); a multi-output chain must compute every function of
+/// `multi` in order, and Algorithm 1's PO loop drives all outputs to 1, so
+/// the merged solution set must be their conjunction.
+bool judge_chain(const chain::boolean_chain& chain, const tt::isf& target,
+                 const std::vector<tt::truth_table>* multi,
+                 core::run_context* rc) {
+  const unsigned n = chain.num_inputs();
+  if (multi == nullptr) {
+    const auto realized = chain.simulate();
+    if (!target.accepts(realized)) {
+      return false;
+    }
+    const auto all = allsat::solve_all(chain, true, rc);
+    return allsat::solutions_to_function(n, all.solutions) == realized;
+  }
+  if (chain.num_outputs() != multi->size()) {
+    return false;
+  }
+  const auto sims = chain.simulate_outputs();
+  auto conjunction = tt::truth_table::constant(n, true);
+  for (std::size_t h = 0; h < multi->size(); ++h) {
+    if (sims[h] != (*multi)[h]) {
+      return false;
+    }
+    conjunction = conjunction & sims[h];
+  }
+  const auto net = allsat::lut_network::from_chain(chain);
+  const std::vector<bool> all_true(multi->size(), true);
+  const auto all = allsat::solve_all(net, all_true, rc);
+  return allsat::solutions_to_function(n, all.solutions) == conjunction;
+}
 
 /// Per-gate search state during the top-down factorization DFS.
 struct gate_state {
@@ -714,27 +752,7 @@ private:
     }
     candidate.set_output(signal_of_gate.back());
 
-    if (!solution_is_new(candidate)) {
-      return;
-    }
-    // Section III-C judging: AllSAT over the candidate network, simulate
-    // the solution set (f_s), and check it against the specification —
-    // acceptance by the ISF generalizes the paper's equality test.
-    const auto realized = candidate.simulate();
-    if (!ctx_.target.accepts(realized)) {
-      return;
-    }
-    const auto allsat_result = allsat::solve_all(candidate, true, &ctx_.rc);
-    if (allsat::solutions_to_function(ctx_.num_vars,
-                                      allsat_result.solutions) != realized) {
-      return;
-    }
-    ++ctx_.stats.verified;
-    ctx_.solutions.push_back(std::move(candidate));
-    if (ctx_.options.max_solutions != 0 &&
-        ctx_.solutions.size() >= ctx_.options.max_solutions) {
-      ctx_.stop = true;
-    }
+    record_if_judged(std::move(candidate));
   }
 
   /// Multi-output candidate: bind the assigned fanout-free gates, match
@@ -773,26 +791,13 @@ private:
       }
     }
     candidate.set_outputs(std::move(outs));
-    if (!solution_is_new(candidate)) {
-      return;
-    }
-    // Section III-C judging over the multi-output network: Algorithm 1's
-    // PO loop drives every output to 1; the merged solution set must
-    // simulate to the conjunction of the output functions.
-    allsat::lut_network net;
-    net.num_inputs = candidate.num_inputs();
-    net.steps = candidate.steps();
-    auto conjunction = tt::truth_table::constant(ctx_.num_vars, true);
-    for (const auto& o : candidate.outputs()) {
-      net.outputs.push_back(allsat::lut_network::output{o.signal,
-                                                        o.complemented});
-      conjunction =
-          conjunction & (o.complemented ? ~sims[o.signal] : sims[o.signal]);
-    }
-    const auto allsat_result = allsat::solve_all(
-        net, std::vector<bool>(net.outputs.size(), true), &ctx_.rc);
-    if (allsat::solutions_to_function(
-            ctx_.num_vars, allsat_result.solutions) != conjunction) {
+    record_if_judged(std::move(candidate));
+  }
+
+  /// Records a new candidate that passes the Section III-C judging.
+  void record_if_judged(chain::boolean_chain candidate) {
+    if (!ctx_.solution_hashes.insert(candidate.hash()) ||
+        !judge_chain(candidate, ctx_.target, ctx_.multi, &ctx_.rc)) {
       return;
     }
     ++ctx_.stats.verified;
@@ -801,10 +806,6 @@ private:
         ctx_.solutions.size() >= ctx_.options.max_solutions) {
       ctx_.stop = true;
     }
-  }
-
-  bool solution_is_new(const chain::boolean_chain& candidate) {
-    return ctx_.solution_hashes.insert(candidate.hash());
   }
 
   search_context& ctx_;
@@ -1143,13 +1144,42 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
   util::flat_set64 failed_states;
   const lower_bound_prober prober{options.probe};
 
+  // The probe's witness and the deadline-salvaged chain are judged outside
+  // the deadline: AllSAT over one small chain is bounded, and a pass cut
+  // by an expired `rc` would reject a valid chain.
+  const auto judged = [&](const chain::boolean_chain& chain) {
+    core::run_context judge_rc;
+    const bool ok = judge_chain(chain, target, multi, &judge_rc);
+    rc.counters += judge_rc.counters;
+    return ok;
+  };
+
+  // Read-once level: a complete single-output target that depends on all
+  // k variables of its cone needs k - 1 gates at least, and a chain of
+  // exactly k - 1 gates spends its 2(k - 1) fanins on k inputs and k - 2
+  // non-root steps, each used exactly once — a read-once tree of 2-input
+  // gates.  Such a tree exists iff the target is fully DSD, which greedy
+  // contraction decides exactly (`tt/dsd.hpp`).
+  const unsigned cone_size = static_cast<unsigned>(std::popcount(root_cone));
+  const bool read_once_decidable =
+      options.engine != stp_level_engine::sweep && multi == nullptr &&
+      target.is_fully_specified() && target.onset().support_mask() == root_cone;
+
   for (unsigned gates = start_gates; gates <= max_gates; ++gates) {
     if (rc.should_stop()) {
       out.outcome = status::timeout;
       return;
     }
     std::optional<chain::boolean_chain> witness;
-    if (options.engine == stp_level_engine::probe_sweep) {
+    const bool read_once_level = read_once_decidable && gates + 1 == cone_size;
+    if (read_once_level) {
+      // Decided without the probe; counted as the probe would have been.
+      if (!tt::is_fully_dsd(target.onset())) {
+        ++rc.counters.probe_unsat_levels;
+        continue;  // no DAG of this level is materialized or swept
+      }
+      ++rc.counters.probe_sat_levels;
+    } else if (options.engine == stp_level_engine::probe_sweep) {
       // Pre-sweep gate: one CNF call per pruned fence refutes the whole
       // level; `unknown` (budget/size cutoff) falls through to the sweep,
       // so the probe can only skip work, never change the result.
@@ -1162,6 +1192,15 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
       if (pr.verdict == probe_verdict::feasible) {
         ++rc.counters.probe_sat_levels;
         witness = std::move(pr.witness);
+        // Every smaller level was refuted, so the witness is an optimum
+        // chain: a one-chain request needs no sweep once it is judged.
+        if (options.max_solutions == 1 && witness && judged(*witness)) {
+          out.outcome = status::success;
+          out.optimum_gates = gates;
+          out.enumeration_complete = true;
+          out.chains = {std::move(*witness)};
+          return;
+        }
       }
     }
     const auto fences =
@@ -1174,7 +1213,8 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
     const auto level_dags =
         materialize_level_dags(options, dag_opts, fences, rc, stats);
     auto solutions =
-        options.engine == stp_level_engine::portfolio && pool != nullptr
+        options.engine == stp_level_engine::portfolio && pool != nullptr &&
+                !read_once_level
             ? run_portfolio_level(options, prober, target, root_cone,
                                   num_vars, multi, gates, level_dags, rc,
                                   stats, memo, failed_states, *pool,
@@ -1202,29 +1242,10 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
     if (rc.should_stop()) {
       // The deadline cut this level before the sweep surfaced a chain.
       // If the probe already answered `feasible`, its SAT model is a
-      // chain of exactly `gates` steps; re-verified against the
-      // requirement it salvages a proven-optimum partial success —
-      // every smaller level was exhausted above, this level is realized.
-      const auto witness_ok = [&] {
-        if (!witness.has_value()) {
-          return false;
-        }
-        if (multi == nullptr) {
-          return ((witness->simulate() ^ target.onset()) & target.careset())
-              .is_const0();
-        }
-        if (witness->num_outputs() != multi->size()) {
-          return false;
-        }
-        const auto sims = witness->simulate_outputs();
-        for (std::size_t h = 0; h < multi->size(); ++h) {
-          if (sims[h] != (*multi)[h]) {
-            return false;
-          }
-        }
-        return true;
-      };
-      if (witness_ok()) {
+      // chain of exactly `gates` steps; judged like every swept chain it
+      // salvages a proven-optimum partial success — every smaller level
+      // was exhausted above, this level is realized.
+      if (witness.has_value() && judged(*witness)) {
         out.outcome = status::success;
         out.optimum_gates = gates;
         out.enumeration_complete = false;

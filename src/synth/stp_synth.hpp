@@ -45,11 +45,23 @@ namespace stpes::synth {
 enum class stp_level_engine {
   /// Sweep every level (the paper's baseline; ablation reference).
   sweep,
-  /// Run the probe first: UNSAT skips the level's sweep entirely, SAT or
-  /// unknown falls through to the sweep.  Sequential, deterministic.
+  /// Decide each level before sweeping it, never paying twice for one
+  /// answer.  Sequential, deterministic.  In order:
+  ///   1. the read-once level (support size - 1 gates) of a complete
+  ///      single-output target is decided by `tt::is_fully_dsd`: not fully
+  ///      DSD skips the level, fully DSD goes straight to the sweep, with
+  ///      no CNF call either way;
+  ///   2. every other level (and ISF or multi-output targets) runs the
+  ///      probe: UNSAT skips the level's sweep entirely, unknown falls
+  ///      through to the sweep, and SAT either answers a one-chain request
+  ///      (`max_solutions == 1`) with the judged witness or falls through
+  ///      to the sweep.
+  /// Decided levels count in `probe_unsat_levels` / `probe_sat_levels`
+  /// whichever check decided them.
   probe_sweep,
   /// Race the probe against the sweep on the thread pool; the first
   /// proof wins and cancels the loser through `core::run_context`.  The
+  /// read-once level is decided by DSD first, as in `probe_sweep`.  The
   /// solution set is still bit-identical to `sweep` (the probe can only
   /// cancel solution-free levels); effort counters become race-dependent.
   portfolio,
@@ -69,7 +81,9 @@ struct stp_options {
   /// Kills an up-to-2^r duplication of every solution under polarity
   /// redistribution; the solution set becomes "all optimum normal chains".
   bool normalize_polarity = true;
-  /// Stop after this many optimum chains (0 = enumerate all).
+  /// Stop after this many optimum chains (0 = enumerate all).  Under
+  /// `probe_sweep`, 1 is answered by the probe's judged witness whenever
+  /// the probe decides the winning level.
   std::size_t max_solutions = 0;
   /// Sweep each gate count's candidate DAGs in *reverse* generation
   /// order.  The fence enumerator emits narrow, deep topologies first;

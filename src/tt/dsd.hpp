@@ -19,6 +19,9 @@
 /// exact synthesis over 2-LUTs cares about, and what our generators emit),
 /// greedy contraction is a decision procedure: any contractible pair is part
 /// of *some* DSD tree, so greedy choices never block later contractions.
+/// The STP engine relies on this to decide the read-once level (support
+/// size - 1 gates) without a CNF call; `tests/lower_bound_test.cpp` pins
+/// it against the exact probe and the plain sweep.
 
 #pragma once
 

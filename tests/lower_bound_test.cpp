@@ -6,7 +6,8 @@
 /// verified witness chain, `unknown` is always safe to treat as feasible.
 /// The portfolio engine must be a pure scheduling change: bit-identical
 /// results to the sequential STP engine, with the losing side cancelled
-/// promptly.
+/// promptly.  The read-once level the engine decides by DSD instead of the
+/// probe is pinned against both the exact probe and the plain sweep.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +18,10 @@
 #include "core/exact_synthesis.hpp"
 #include "synth/lower_bound.hpp"
 #include "synth/stp_synth.hpp"
+#include "tt/dsd.hpp"
 #include "tt/isf.hpp"
 #include "tt/npn.hpp"
+#include "util/rng.hpp"
 #include "workload/collections.hpp"
 
 namespace {
@@ -126,6 +129,89 @@ TEST(LowerBoundProbe, ProbeDisabledSweepStillAgrees) {
   EXPECT_EQ(r.optimum_gates, 4u);
   EXPECT_EQ(r.counters.probe_calls, 0u);
   EXPECT_EQ(r.counters.probe_unsat_levels, 0u);
+}
+
+/// True iff the plain sweep (no probe, no DSD shortcut) finds a chain of
+/// exactly `support(f) - 1` gates.  `f` must depend on all its inputs.
+bool sweep_finds_read_once_chain(const truth_table& f) {
+  stpes::synth::stp_options options;
+  options.engine = stpes::synth::stp_level_engine::sweep;
+  options.max_solutions = 1;
+  stpes::synth::stp_engine eng{options};
+  stpes::synth::spec s;
+  s.function = f;
+  s.max_gates = f.num_vars() - 1;
+  const auto r = eng.run(s);
+  EXPECT_NE(r.outcome, status::timeout) << f.to_hex();
+  return r.ok();
+}
+
+/// The DSD oracle the engine decides the read-once level with: a target
+/// depending on all n inputs has an (n - 1)-gate chain iff it is fully
+/// DSD.  Checked against the exact probe and the plain sweep.
+void expect_dsd_decides_read_once_level(const truth_table& f,
+                                        bool with_probe) {
+  ASSERT_EQ(f.support_mask(), (1u << f.num_vars()) - 1) << f.to_hex();
+  const bool dsd = stpes::tt::is_fully_dsd(f);
+  if (with_probe) {
+    const auto pr = exact_prober().probe(isf::from_function(f),
+                                         f.num_vars() - 1);
+    ASSERT_NE(pr.verdict, probe_verdict::unknown) << f.to_hex();
+    EXPECT_EQ(pr.verdict == probe_verdict::feasible, dsd) << f.to_hex();
+  }
+  EXPECT_EQ(sweep_finds_read_once_chain(f), dsd) << f.to_hex();
+}
+
+TEST(ReadOnceLevel, DsdMatchesProbeAndSweepOnAllNpn4Classes) {
+  std::size_t checked = 0;
+  for (const auto& f : stpes::workload::npn4_classes()) {
+    std::vector<unsigned> old_of_new;
+    const auto g = stpes::synth::shrink_for_synthesis(f, old_of_new);
+    if (g.num_vars() < 2) {
+      continue;  // constants and literals have no read-once level
+    }
+    expect_dsd_decides_read_once_level(g, true);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 220u);
+}
+
+TEST(ReadOnceLevel, DsdMatchesProbeAndSweepOnRandomFiveInputFunctions) {
+  stpes::util::rng gen{2023};
+  std::size_t checked = 0;
+  while (checked < 200) {
+    const truth_table f{5, gen.next_u64() & 0xFFFFFFFFull};
+    if (f.support_mask() != 0x1Fu) {
+      continue;
+    }
+    expect_dsd_decides_read_once_level(f, true);
+    ++checked;
+  }
+}
+
+TEST(ReadOnceLevel, DsdMatchesProbeAndSweepOnDsdPools) {
+  for (const unsigned n : {5u, 6u}) {
+    for (const auto& f : stpes::workload::fdsd_functions(n, 20, 11)) {
+      EXPECT_TRUE(stpes::tt::is_fully_dsd(f)) << f.to_hex();
+      expect_dsd_decides_read_once_level(f, true);
+    }
+    for (const auto& f : stpes::workload::pdsd_functions(n, 20, 11)) {
+      EXPECT_FALSE(stpes::tt::is_fully_dsd(f)) << f.to_hex();
+      expect_dsd_decides_read_once_level(f, true);
+    }
+  }
+}
+
+TEST(ReadOnceLevel, DsdMatchesSweepAboveTheProbeSizeCap) {
+  // The probe gives up above `max_vars` (6), so the sweep is the oracle.
+  for (const unsigned n : {7u, 8u}) {
+    for (const auto& f : stpes::workload::fdsd_functions(n, 8, 11)) {
+      expect_dsd_decides_read_once_level(f, false);
+    }
+    for (const auto& f : stpes::workload::pdsd_functions(n, 8, 11)) {
+      expect_dsd_decides_read_once_level(f, false);
+    }
+  }
 }
 
 TEST(EnginePortfolio, BitIdenticalToSequentialStpOnFixedInstances) {

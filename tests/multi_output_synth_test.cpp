@@ -9,6 +9,7 @@
 
 #include "core/exact_synthesis.hpp"
 #include "synth/spec.hpp"
+#include "synth/stp_synth.hpp"
 #include "tt/truth_table.hpp"
 
 namespace {
@@ -195,6 +196,27 @@ TEST(MultiOutputSpec, StpEnumeratesAllOptimaWithExactOutputs) {
       EXPECT_FALSE(r.chains[i] == r.chains[j]);
     }
   }
+}
+
+TEST(MultiOutputSpec, StpOneChainRequestReturnsAJudgedOptimumChain) {
+  // With max_solutions == 1 the probe's multi-output witness answers the
+  // request once it passes the same judging as an enumerated chain.
+  stpes::synth::stp_options options;
+  options.max_solutions = 1;
+  stpes::synth::stp_engine eng{options};
+  stpes::synth::spec s;
+  s.functions = {adder_sum(), adder_carry()};
+  const auto r = eng.run(s);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.enumeration_complete);
+  EXPECT_EQ(r.optimum_gates, 5u);
+  ASSERT_EQ(r.chains.size(), 1u);
+  const auto& c = r.chains.front();
+  EXPECT_EQ(c.num_steps(), 5u);
+  ASSERT_EQ(c.num_outputs(), 2u);
+  EXPECT_EQ(c.simulate_output(0), adder_sum());
+  EXPECT_EQ(c.simulate_output(1), adder_carry());
+  EXPECT_EQ(r.counters.dags_generated, 0u);  // no level was swept
 }
 
 }  // namespace

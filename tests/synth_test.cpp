@@ -224,6 +224,107 @@ TEST(Synthesis, CompleteRunsReportCompleteEnumeration) {
   EXPECT_TRUE(capped.enumeration_complete);
 }
 
+/// Runs the STP engine with the given level engine and solution cap.
+result run_stp(const truth_table& f, stpes::synth::stp_level_engine level,
+               std::size_t max_solutions,
+               const stpes::synth::lower_bound_options& probe = {}) {
+  stpes::synth::stp_options options;
+  options.engine = level;
+  options.max_solutions = max_solutions;
+  options.probe = probe;
+  stpes::synth::stp_engine eng{options};
+  spec s;
+  s.function = f;
+  return eng.run(s);
+}
+
+TEST(Synthesis, ProbeSweepEnumeratesExactlyTheSweepChainList) {
+  // The read-once DSD decision and the probe only skip levels without
+  // chains, so a full enumeration returns the plain sweep's chain list,
+  // order included.
+  using stpes::synth::stp_level_engine;
+  std::vector<truth_table> instances =
+      stpes::workload::fdsd_functions(6, 4, 17);
+  for (const auto& f : stpes::workload::pdsd_functions(6, 2, 17)) {
+    instances.push_back(f);
+  }
+  for (const char* hex : {"0x0001", "0x01fe", "0x03cf", "0x01a9", "0x01ef",
+                          "0x03de", "0x0669", "0x016e", "0x019a"}) {
+    instances.push_back(truth_table::from_hex(4, hex));
+  }
+  for (const auto& f : instances) {
+    const auto reference = run_stp(f, stp_level_engine::sweep, 0);
+    const auto probed = run_stp(f, stp_level_engine::probe_sweep, 0);
+    ASSERT_TRUE(reference.ok()) << f.to_hex();
+    ASSERT_TRUE(probed.ok()) << f.to_hex();
+    EXPECT_EQ(probed.optimum_gates, reference.optimum_gates) << f.to_hex();
+    EXPECT_TRUE(probed.enumeration_complete) << f.to_hex();
+    ASSERT_EQ(probed.chains.size(), reference.chains.size()) << f.to_hex();
+    for (std::size_t i = 0; i < reference.chains.size(); ++i) {
+      EXPECT_TRUE(probed.chains[i] == reference.chains[i])
+          << f.to_hex() << " chain " << i;
+    }
+  }
+}
+
+TEST(Synthesis, OneChainRequestsReturnAJudgedOptimumChain) {
+  // With max_solutions == 1 the probe's witness answers the request once
+  // every smaller level is refuted; the chain must pass the same judging
+  // as a swept one and sit at the optimum.  Classes of up to 5 gates are
+  // compared against the full enumeration; the 6- and 7-gate ones, too
+  // costly to enumerate, against their BMS optima.
+  using stpes::synth::stp_level_engine;
+  struct known {
+    const char* hex;
+    unsigned optimum;
+  };
+  for (const auto& [hex, optimum] :
+       {known{"0x0001", 3}, known{"0x03cf", 3}, known{"0x01a9", 4},
+        known{"0x01ef", 4}, known{"0x0669", 5}, known{"0x019a", 5},
+        known{"0x011a", 6}, known{"0x0117", 7}, known{"0x0116", 7}}) {
+    const auto f = truth_table::from_hex(4, hex);
+    const auto r = run_stp(f, stp_level_engine::probe_sweep, 1);
+    ASSERT_TRUE(r.ok()) << hex;
+    EXPECT_TRUE(r.enumeration_complete) << hex;
+    ASSERT_EQ(r.chains.size(), 1u) << hex;
+    EXPECT_TRUE(stpes::allsat::verify_chain(r.chains.front(), f)) << hex;
+    EXPECT_EQ(r.chains.front().size(), optimum) << hex;
+    EXPECT_EQ(r.optimum_gates, optimum) << hex;
+    if (optimum <= 5) {
+      EXPECT_EQ(run_stp(f, stp_level_engine::probe_sweep, 0).optimum_gates,
+                optimum)
+          << hex;
+    }
+  }
+}
+
+TEST(Synthesis, UndecidedProbeLeavesOneChainRequestsToTheSweep) {
+  // A one-conflict budget leaves the probe `unknown` at the optimum, so
+  // there is no witness: the sweep must materialize the level and answer.
+  using stpes::synth::stp_level_engine;
+  const auto f = truth_table::from_hex(4, "0x019a");
+  stpes::synth::lower_bound_options starved;
+  starved.conflict_budget = 1;
+  const auto verdict = stpes::synth::lower_bound_prober{starved}.probe(
+      stpes::tt::isf::from_function(f), 5);
+  ASSERT_EQ(verdict.verdict, stpes::synth::probe_verdict::unknown);
+
+  const auto r = run_stp(f, stp_level_engine::probe_sweep, 1, starved);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.optimum_gates, 5u);
+  ASSERT_EQ(r.chains.size(), 1u);
+  EXPECT_TRUE(stpes::allsat::verify_chain(r.chains.front(), f));
+  EXPECT_EQ(r.counters.probe_sat_levels, 0u);
+  EXPECT_GT(r.counters.dags_generated, 0u);
+
+  // With the default budget the witness answers and no DAG is built.
+  const auto witnessed = run_stp(f, stp_level_engine::probe_sweep, 1);
+  ASSERT_TRUE(witnessed.ok());
+  EXPECT_EQ(witnessed.optimum_gates, 5u);
+  EXPECT_EQ(witnessed.counters.probe_sat_levels, 1u);
+  EXPECT_EQ(witnessed.counters.dags_generated, 0u);
+}
+
 TEST(Synthesis, TreeOnlyAblationStillFindsTreeOptima) {
   stpes::synth::stp_options options;
   options.allow_shared_gates = false;
