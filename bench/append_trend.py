@@ -3,14 +3,7 @@
 
 Usage:
     append_trend.py --run fresh.json --trend bench_trend.jsonl
-                    [--commit SHA] [--max-lines 500] [--micro]
-
-With --micro, --run is a google-benchmark JSON file (bench_micro
---benchmark_format=json) instead of a table1 run: each benchmark's
-real_time lands as one series named after the benchmark
-("BM_KernelVecAnd/dispatched/64", ...), under the synthetic
-collection/engine pair "micro"/"micro" so the render_trend.py dashboard
-gives every kernel case its own sparkline next to the table1 sections.
+                    [--commit SHA] [--max-lines 500]
 
 Each invocation appends exactly one line: a compact JSON object with the
 run's configuration, its per-engine solve/timeout/wall-clock numbers, and
@@ -45,18 +38,10 @@ def main():
     parser.add_argument("--max-lines", type=int, default=500,
                         help="rolling-window bound; oldest points beyond "
                              "it are dropped")
-    parser.add_argument("--micro", action="store_true",
-                        help="treat --run as google-benchmark JSON "
-                             "(bench_micro) instead of a table1 run")
     args = parser.parse_args()
 
     with open(args.run, "r", encoding="utf-8") as fh:
         run = json.load(fh)
-
-    if args.micro:
-        point = micro_point(run, args.commit)
-        append_point(point, args)
-        return 0
 
     point = {
         "commit": args.commit,
@@ -87,31 +72,6 @@ def main():
 
     append_point(point, args)
     return 0
-
-
-def micro_point(run, commit):
-    """One trend point from a google-benchmark JSON document.
-
-    Aggregate rows (mean/median/stddev of --benchmark_repetitions) are
-    skipped — the raw per-case real_time is the series.
-    """
-    entry = {"engine": "micro"}
-    benchmarks = run.get("benchmarks", [])
-    for bench in benchmarks:
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name")
-        value = bench.get("real_time")
-        if name and isinstance(value, (int, float)):
-            entry[name] = value
-    return {
-        "commit": commit,
-        "collection": "micro",
-        "instances": len(entry) - 1,
-        "time_unit": (benchmarks[0].get("time_unit", "ns")
-                      if benchmarks else "ns"),
-        "engines": [entry],
-    }
 
 
 def append_point(point, args):

@@ -11,7 +11,6 @@
 #include "stp/logic_matrix.hpp"
 #include "stp/stp_allsat.hpp"
 #include "tt/dsd.hpp"
-#include "tt/kernels/kernels.hpp"
 #include "tt/npn.hpp"
 #include "util/rng.hpp"
 #include "workload/collections.hpp"
@@ -126,169 +125,6 @@ void BM_DsdAnalysis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DsdAnalysis);
-
-// ---------------------------------------------------------------------------
-// Kernel tier: each hot word primitive timed once through the scalar
-// reference and once through the runtime-dispatched table, so the
-// dispatched/scalar ratio is the headline number of the SIMD tier.  Under
-// STPES_FORCE_SCALAR the "dispatched" rows honestly report the scalar
-// tier.  Buffers fit comfortably in L1 — these measure compute, not
-// memory.
-
-const tt::kernels::kernel_ops& micro_ops(bool dispatched) {
-  return dispatched
-             ? tt::kernels::ops_for(tt::kernels::detect_best_tier())
-             : tt::kernels::scalar_ops();
-}
-
-std::vector<std::uint64_t> micro_words(std::uint64_t seed, std::size_t n) {
-  util::rng rng{seed};
-  std::vector<std::uint64_t> out(n);
-  for (auto& w : out) {
-    w = rng.next_u64();
-  }
-  return out;
-}
-
-void BM_KernelVecAnd(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = micro_words(1, n);
-  const auto b = micro_words(2, n);
-  std::vector<std::uint64_t> dst(n);
-  for (auto _ : state) {
-    ops.vec_and(dst.data(), a.data(), b.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 8);
-}
-BENCHMARK_CAPTURE(BM_KernelVecAnd, scalar, false)->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_KernelVecAnd, dispatched, true)->Arg(8)->Arg(64);
-
-void BM_KernelNotMask(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = micro_words(3, n);
-  std::vector<std::uint64_t> dst(n);
-  for (auto _ : state) {
-    ops.vec_not_mask(dst.data(), a.data(), n, 0xffffffffull);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 8);
-}
-BENCHMARK_CAPTURE(BM_KernelNotMask, scalar, false)->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_KernelNotMask, dispatched, true)->Arg(8)->Arg(64);
-
-void BM_KernelAnyAnd3(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = micro_words(4, n);
-  const auto b = micro_words(5, n);
-  // All-zero third operand: no early exit, the whole buffer is scanned.
-  const std::vector<std::uint64_t> c(n, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops.any_and3(a.data(), b.data(), c.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 24);
-}
-BENCHMARK_CAPTURE(BM_KernelAnyAnd3, scalar, false)->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_KernelAnyAnd3, dispatched, true)->Arg(8)->Arg(64);
-
-void BM_KernelAccepts(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto cand = micro_words(6, n);
-  const auto care = micro_words(7, n);
-  std::vector<std::uint64_t> on(n);  // on = cand & care: full accept scan
-  for (std::size_t i = 0; i < n; ++i) {
-    on[i] = cand[i] & care[i];
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ops.accepts(cand.data(), care.data(), on.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 24);
-}
-BENCHMARK_CAPTURE(BM_KernelAccepts, scalar, false)->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_KernelAccepts, dispatched, true)->Arg(8)->Arg(64);
-
-void BM_KernelCofactorSplit(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto src = micro_words(8, n);
-  std::vector<std::uint64_t> lo(n);
-  std::vector<std::uint64_t> hi(n);
-  unsigned var = 0;
-  for (auto _ : state) {
-    ops.cofactor_split(src.data(), lo.data(), hi.data(), n, var);
-    var = (var + 1) % 6;
-    benchmark::DoNotOptimize(lo.data());
-    benchmark::DoNotOptimize(hi.data());
-  }
-}
-BENCHMARK_CAPTURE(BM_KernelCofactorSplit, scalar, false)->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_KernelCofactorSplit, dispatched, true)->Arg(4)->Arg(16);
-
-void BM_KernelSmoothBatch(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const auto original = micro_words(9, lanes);
-  std::vector<std::uint8_t> select(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    select[i] = (i & 3) != 0 ? 1 : 0;  // 75% selected, like a real batch
-  }
-  std::vector<std::uint64_t> work(lanes);
-  unsigned var = 0;
-  for (auto _ : state) {
-    work = original;
-    ops.smooth_var_w1_masked(work.data(), select.data(), lanes, var);
-    var = (var + 1) % 6;
-    benchmark::DoNotOptimize(work.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lanes));
-}
-BENCHMARK_CAPTURE(BM_KernelSmoothBatch, scalar, false)->Arg(32)->Arg(1024);
-BENCHMARK_CAPTURE(BM_KernelSmoothBatch, dispatched, true)->Arg(32)->Arg(1024);
-
-void BM_KernelAnd3Batch(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const auto a = micro_words(10, lanes);
-  const auto b = micro_words(11, lanes);
-  auto c = micro_words(12, lanes);
-  for (auto& w : c) {
-    w &= w >> 32;  // mixed verdicts
-  }
-  std::vector<std::uint8_t> verdict(lanes);
-  for (auto _ : state) {
-    ops.and3_nonzero_w1(a.data(), b.data(), c.data(), lanes, verdict.data());
-    benchmark::DoNotOptimize(verdict.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lanes));
-}
-BENCHMARK_CAPTURE(BM_KernelAnd3Batch, scalar, false)->Arg(32)->Arg(1024);
-BENCHMARK_CAPTURE(BM_KernelAnd3Batch, dispatched, true)->Arg(32)->Arg(1024);
-
-void BM_KernelReverseTable(benchmark::State& state, bool dispatched) {
-  const auto& ops = micro_ops(dispatched);
-  const auto num_vars = static_cast<unsigned>(state.range(0));
-  const std::size_t n =
-      num_vars < 6 ? 1 : (std::size_t{1} << (num_vars - 6));
-  const auto src = micro_words(13, n);
-  std::vector<std::uint64_t> dst(n);
-  for (auto _ : state) {
-    ops.reverse_table(dst.data(), src.data(), num_vars);
-    benchmark::DoNotOptimize(dst.data());
-  }
-}
-BENCHMARK_CAPTURE(BM_KernelReverseTable, scalar, false)->Arg(6)->Arg(10);
-BENCHMARK_CAPTURE(BM_KernelReverseTable, dispatched, true)->Arg(6)->Arg(10);
 
 }  // namespace
 

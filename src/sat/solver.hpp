@@ -24,7 +24,6 @@
 
 #include "sat/types.hpp"
 #include "util/run_context.hpp"
-#include "util/stopwatch.hpp"
 
 namespace stpes::sat {
 
@@ -74,8 +73,6 @@ public:
   /// \name Budgets (apply to subsequent solve calls; 0 / default = none)
   /// @{
   void set_conflict_budget(std::uint64_t max_conflicts);
-  /// Deprecated shim; prefer `set_run_context`.
-  void set_time_budget(util::time_budget budget);
   /// Attaches the shared run context (not owned; may be nullptr to
   /// detach).  The deadline and cancel flag are polled every 256
   /// conflicts and every 4096 decisions; an observed stop returns

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "tt/kernels/kernels.hpp"
+#include "tt/word_ops.hpp"
 
 namespace stpes::stp {
 
@@ -14,12 +14,11 @@ logic_matrix::logic_matrix(unsigned num_vars) : top_(num_vars) {}
 logic_matrix logic_matrix::from_truth_table(const tt::truth_table& f) {
   // Column c of the canonical matrix form holds f(~c & mask): the
   // semi-tensor row expansion is a full bit-order reversal of the table,
-  // one dispatched kernel pass instead of a per-minterm loop.
+  // one word pass instead of a per-minterm loop.
   logic_matrix m{f.num_vars()};
   const auto& src = f.words();
   std::vector<std::uint64_t> reversed(src.size());
-  tt::kernels::active().reverse_table(reversed.data(), src.data(),
-                                      f.num_vars());
+  tt::word_ops::reverse_table(reversed.data(), src.data(), f.num_vars());
   m.top_ = tt::truth_table::from_words(f.num_vars(), reversed.data(),
                                        reversed.size());
   return m;
@@ -28,8 +27,7 @@ logic_matrix logic_matrix::from_truth_table(const tt::truth_table& f) {
 tt::truth_table logic_matrix::to_truth_table() const {
   const auto& src = top_.words();
   std::vector<std::uint64_t> reversed(src.size());
-  tt::kernels::active().reverse_table(reversed.data(), src.data(),
-                                      num_vars());
+  tt::word_ops::reverse_table(reversed.data(), src.data(), num_vars());
   return tt::truth_table::from_words(num_vars(), reversed.data(),
                                      reversed.size());
 }

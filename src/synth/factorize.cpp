@@ -7,7 +7,7 @@
 #include <numeric>
 #include <utility>
 
-#include "tt/kernels/kernels.hpp"
+#include "tt/word_ops.hpp"
 
 namespace stpes::synth {
 
@@ -344,7 +344,6 @@ std::vector<std::vector<factorization>> factor_requirement_batch(
   const std::array<tt::truth_table, 2> offs{r.func.offset(),
                                             complemented_target.offset()};
   const std::size_t num_words = r.func.onset().words().size();
-  const auto& ops = tt::kernels::active();
 
   // Fixed-stride blocks with stack-resident scratch: the synthesis path
   // batches at most a memo-miss chunk at a time, so the screen must not
@@ -400,8 +399,8 @@ std::vector<std::vector<factorization>> factor_requirement_batch(
           for (std::size_t c = 0; c < num_cones; ++c) {
             select[c] = ((cones[c] >> v) & 1) == 0 ? 1 : 0;
           }
-          ops.smooth_var_w1_masked(lanes[p].data(), select.data(),
-                                   num_cones, v);
+          tt::word_ops::smooth_var_w1_masked(lanes[p].data(), select.data(),
+                                             num_cones, v);
         }
         std::array<std::uint64_t, kStride> off_lane;
         std::array<std::uint64_t, kStride> a_lane;
@@ -411,8 +410,9 @@ std::vector<std::vector<factorization>> factor_requirement_batch(
           a_lane[i] = lanes[p][ia[i]];
           b_lane[i] = lanes[p][ib[i]];
         }
-        ops.and3_nonzero_w1(off_lane.data(), a_lane.data(), b_lane.data(),
-                            block, refuted[p].data());
+        tt::word_ops::and3_nonzero_w1(off_lane.data(), a_lane.data(),
+                                      b_lane.data(), block,
+                                      refuted[p].data());
       } else {
         cone_one[p].reserve(num_cones);
         for (std::size_t c = 0; c < num_cones; ++c) {
@@ -420,10 +420,10 @@ std::vector<std::vector<factorization>> factor_requirement_batch(
         }
         for (std::size_t i = 0; i < block; ++i) {
           refuted[p][i] =
-              tt::kernels::words_any_and3(offs[p].words().data(),
-                                          cone_one[p][ia[i]].words().data(),
-                                          cone_one[p][ib[i]].words().data(),
-                                          num_words)
+              tt::word_ops::words_any_and3(offs[p].words().data(),
+                                           cone_one[p][ia[i]].words().data(),
+                                           cone_one[p][ib[i]].words().data(),
+                                           num_words)
                   ? 1
                   : 0;
         }

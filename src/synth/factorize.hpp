@@ -87,11 +87,11 @@ std::vector<factorization> factor_requirement(
 
 /// Batched form: decomposes `r` for every split in `splits` (result `i`
 /// corresponds to `splits[i]`) and returns lists identical to calling
-/// `factor_requirement` once per split.  The batch is where the vector
-/// kernel tier earns its keep: the target polarity complements/offsets are
-/// computed once per batch instead of once per split, the class-replicated
-/// forced-one sets are deduplicated per *distinct cone* and smoothed
-/// struct-of-arrays through the dispatched kernels, and the AND-family
+/// `factor_requirement` once per split.  The target polarity
+/// complements/offsets are computed once per batch instead of once per
+/// split, the class-replicated forced-one sets are deduplicated per
+/// *distinct cone* and smoothed struct-of-arrays through the
+/// `tt::word_ops` batch loops, and the AND-family
 /// feasibility screen runs across the whole batch in one pass — only the
 /// surviving (split, polarity) queries reach the per-candidate branching
 /// solver.  Effort lands in `ctx->counters.kernel_batch_*`.

@@ -122,7 +122,6 @@ struct search_context {
   /// seeded from one of these functions instead.
   const std::vector<tt::truth_table>* multi;
   core::run_context& rc;  // this task's deadline / cancel flag / counters
-  stp_stats& stats;
 
   /// Two-level factorization memo: `shared_memo` holds everything learned
   /// before this level started (immutable while tasks run), `local_memo`
@@ -144,6 +143,7 @@ struct search_context {
   std::vector<std::vector<cone_split>> split_scratch;
   bool stop = false;  // cancelled, deadline expired, or solution cap hit
   std::uint64_t ticks = 0;
+  std::uint64_t candidates = 0;  // complete chains this task assembled
 
   void tick() {
     if ((++ticks & 0x3FF) == 0 && rc.should_stop()) {
@@ -212,7 +212,6 @@ struct search_context {
     for (std::size_t j = 0; j < misses; ++j) {
       auto result = std::make_shared<const std::vector<factorization>>(
           std::move(solved[j]));
-      stats.factorizations += result->size();
       resolved[miss_of[j]] = result.get();
       // The cap is checked against the level-start snapshot plus this
       // task's own delta — both thread-count independent, so capped runs
@@ -478,14 +477,14 @@ private:
     }
     // Memoize only *structural* failures (no complete candidate assembled):
     // duplicate-solution bookkeeping must not poison the cache.
-    const std::uint64_t candidates_before = ctx_.stats.candidates;
+    const std::uint64_t candidates_before = ctx_.candidates;
     const int g = order_[pos];
     auto& state = gates_[static_cast<std::size_t>(g)];
     assert(state.has_requirement);  // fanout >= 1 guarantees a parent set it
     const auto& topo_gate = dag_.gates[static_cast<std::size_t>(g)];
     enumerate_partitions(pos, g, topo_gate.fanin[0], topo_gate.fanin[1],
                          state.req);
-    if (ctx_.stats.candidates == candidates_before && !ctx_.stop) {
+    if (ctx_.candidates == candidates_before && !ctx_.stop) {
       ctx_.record_failed(key);
     }
   }
@@ -540,7 +539,6 @@ private:
         if (symmetric_children_[static_cast<std::size_t>(g)] && a > b) {
           return;  // mirrored split of identical subtrees
         }
-        ++ctx_.stats.partitions_tried;
         splits.push_back(cone_split{a, b});
         return;
       }
@@ -711,7 +709,7 @@ private:
   /// All gates decomposed: build the concrete chain, verify it with the
   /// circuit AllSAT solver + simulation, and record it.
   void emit() {
-    ++ctx_.stats.candidates;
+    ++ctx_.candidates;
     chain::boolean_chain candidate{ctx_.num_vars};
     std::vector<std::uint32_t> signal_of_gate(dag_.gates.size());
     for (std::size_t g = 0; g < dag_.gates.size(); ++g) {
@@ -800,7 +798,6 @@ private:
         !judge_chain(candidate, ctx_.target, ctx_.multi, &ctx_.rc)) {
       return;
     }
-    ++ctx_.stats.verified;
     ctx_.solutions.push_back(std::move(candidate));
     if (ctx_.options.max_solutions != 0 &&
         ctx_.solutions.size() >= ctx_.options.max_solutions) {
@@ -834,7 +831,6 @@ constexpr std::size_t kLevelChunk = 64;
 /// One worker task's private output, merged in task order after the join.
 struct task_output {
   std::vector<chain::boolean_chain> solutions;
-  stp_stats stats;
   core::stage_counters counters;
   factor_memo memo_delta;
   util::flat_set64 failed_delta;
@@ -844,15 +840,6 @@ struct task_output {
   // refuted — unsound to carry into later levels.
   bool tainted = false;
 };
-
-void accumulate(stp_stats& into, const stp_stats& from) {
-  into.fences += from.fences;
-  into.dags += from.dags;
-  into.partitions_tried += from.partitions_tried;
-  into.factorizations += from.factorizations;
-  into.candidates += from.candidates;
-  into.verified += from.verified;
-}
 
 /// Runs one gate-count level over the materialized candidate DAGs, fanning
 /// fixed contiguous chunks across `pool` (or inline when null).
@@ -868,8 +855,7 @@ std::vector<chain::boolean_chain> run_level(
     const stp_options& options, const tt::isf& target, std::uint32_t root_cone,
     unsigned num_vars, const std::vector<tt::truth_table>* multi,
     const std::vector<dag_topology>& dags, core::run_context& rc,
-    stp_stats& stats, factor_memo& memo,
-    util::flat_set64& failed, service::thread_pool* pool) {
+    factor_memo& memo, util::flat_set64& failed, service::thread_pool* pool) {
   const std::size_t num_tasks = (dags.size() + kLevelChunk - 1) / kLevelChunk;
   std::vector<task_output> outputs(num_tasks);
   // Level-local cancel hub: a child of `rc`, so external cancels and the
@@ -922,11 +908,10 @@ std::vector<chain::boolean_chain> run_level(
       return;
     }
     core::run_context task_rc(&level_rc);
-    search_context ctx{options,        target,           root_cone,
-                       num_vars,       multi,            task_rc,
-                       out.stats,      memo,             out.memo_delta,
-                       failed,         out.failed_delta, {},
-                       {},             {}};
+    search_context ctx{options, target,           root_cone, num_vars,
+                       multi,   task_rc,          memo,      out.memo_delta,
+                       failed,  out.failed_delta, {},        {},
+                       {}};
     const std::size_t begin = task_idx * kLevelChunk;
     const std::size_t end = std::min(begin + kLevelChunk, dags.size());
     for (std::size_t i = begin; i < end && !ctx.stop; ++i) {
@@ -967,10 +952,9 @@ std::vector<chain::boolean_chain> run_level(
     tasks_cv.wait(lock, [&] { return tasks_finished == num_tasks; });
   }
 
-  // Fold the private deltas back in task order: stats and counters become
+  // Fold the private deltas back in task order: counters become
   // thread-count independent, and the memos carry over to the next level.
   for (auto& out : outputs) {
-    accumulate(stats, out.stats);
     rc.counters += out.counters;
     if (out.tainted) {
       continue;  // cancelled mid-chunk: deltas may be truncated, drop them
@@ -995,8 +979,7 @@ std::vector<chain::boolean_chain> run_level(
 /// per-size cap with the same accounting as the sequential sweep.
 std::vector<dag_topology> materialize_level_dags(
     const stp_options& options, const fence::dag_options& dag_opts,
-    const std::vector<fence::fence>& fences, core::run_context& rc,
-    stp_stats& stats) {
+    const std::vector<fence::fence>& fences, core::run_context& rc) {
   std::vector<dag_topology> level_dags;
   std::size_t dag_count = 0;
   for (const auto& fc : fences) {
@@ -1004,7 +987,6 @@ std::vector<dag_topology> materialize_level_dags(
       break;
     }
     for (auto& dag : fence::generate_dags(fc, dag_opts, &rc)) {
-      ++stats.dags;
       ++dag_count;
       if (options.max_dags_per_size != 0 &&
           dag_count > options.max_dags_per_size) {
@@ -1054,8 +1036,7 @@ std::vector<chain::boolean_chain> run_portfolio_level(
     const tt::isf& target, std::uint32_t root_cone, unsigned num_vars,
     const std::vector<tt::truth_table>* multi, unsigned gates,
     const std::vector<dag_topology>& dags, core::run_context& rc,
-    stp_stats& stats, factor_memo& memo,
-    util::flat_set64& failed, service::thread_pool& pool,
+    factor_memo& memo, util::flat_set64& failed, service::thread_pool& pool,
     service::thread_pool* sweep_pool,
     std::optional<chain::boolean_chain>& witness) {
   core::run_context probe_rc(&rc);
@@ -1093,7 +1074,7 @@ std::vector<chain::boolean_chain> run_portfolio_level(
   }
 
   auto solutions = run_level(options, target, root_cone, num_vars, multi,
-                             dags, sweep_rc, stats, memo, failed, sweep_pool);
+                             dags, sweep_rc, memo, failed, sweep_pool);
   {
     const std::lock_guard<std::mutex> lock(race_mutex);
     sweep_done = true;
@@ -1127,8 +1108,7 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
                     std::uint32_t root_cone, unsigned num_vars,
                     const std::vector<tt::truth_table>* multi,
                     unsigned start_gates, unsigned max_gates,
-                    core::run_context& rc, stp_stats& stats,
-                    service::thread_pool* pool,
+                    core::run_context& rc, service::thread_pool* pool,
                     service::thread_pool* sweep_pool, result& out) {
   const unsigned max_outputs =
       multi != nullptr ? static_cast<unsigned>(multi->size()) : 1;
@@ -1209,19 +1189,17 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
                    ? fence::pruned_fences_multi(gates, max_outputs, &rc)
                    : fence::pruned_fences(gates, &rc))
             : fence::all_fences(gates, &rc);
-    stats.fences += fences.size();
     const auto level_dags =
-        materialize_level_dags(options, dag_opts, fences, rc, stats);
+        materialize_level_dags(options, dag_opts, fences, rc);
     auto solutions =
         options.engine == stp_level_engine::portfolio && pool != nullptr &&
                 !read_once_level
             ? run_portfolio_level(options, prober, target, root_cone,
                                   num_vars, multi, gates, level_dags, rc,
-                                  stats, memo, failed_states, *pool,
-                                  sweep_pool, witness)
+                                  memo, failed_states, *pool, sweep_pool,
+                                  witness)
             : run_level(options, target, root_cone, num_vars, multi,
-                        level_dags, rc, stats, memo, failed_states,
-                        sweep_pool);
+                        level_dags, rc, memo, failed_states, sweep_pool);
 
     // Reaching this level at all proves every smaller gate count was
     // exhausted without a solution, so any chain found here is optimum —
@@ -1265,7 +1243,6 @@ stp_engine::stp_engine(stp_options options) : options_(options) {}
 
 result stp_engine::run(const spec& s) {
   util::stopwatch watch;
-  stats_ = stp_stats{};
   result out;
 
   core::run_context local_rc;
@@ -1300,7 +1277,7 @@ result stp_engine::run(const spec& s) {
     const std::uint32_t root_cone = (1u << n) - 1;
     run_size_sweep(options_, target, root_cone, n, &fs,
                    std::max(1u, trivial_lower_bound(fs)), s.max_gates, rc,
-                   stats_, pool ? &*pool : nullptr, sweep_pool, out);
+                   pool ? &*pool : nullptr, sweep_pool, out);
     for (auto& c : out.chains) {
       c = lift_chain_to_original(c, old_of_new, targets.front().num_vars());
     }
@@ -1314,7 +1291,7 @@ result stp_engine::run(const spec& s) {
   const tt::isf target = tt::isf::from_function(f);
   const std::uint32_t root_cone = (1u << n) - 1;
   run_size_sweep(options_, target, root_cone, n, nullptr,
-                 std::max(1u, n - 1), s.max_gates, rc, stats_,
+                 std::max(1u, n - 1), s.max_gates, rc,
                  pool ? &*pool : nullptr, sweep_pool, out);
   for (auto& c : out.chains) {
     c = lift_chain_to_original(c, old_of_new, targets.front().num_vars());
@@ -1326,7 +1303,6 @@ result stp_engine::run_with_dont_cares(const tt::isf& target,
                                        core::run_context* run_ctx,
                                        unsigned max_gates) {
   util::stopwatch watch;
-  stats_ = stp_stats{};
   result out;
   const unsigned n = target.num_vars();
 
@@ -1386,7 +1362,7 @@ result stp_engine::run_with_dont_cares(const tt::isf& target,
   // decides: infeasibility of the k-gate question over all n inputs
   // subsumes the cone-restricted sweep, so a skipped level is sound.
   run_size_sweep(options_, root, cone, n, nullptr, lower, max_gates, rc,
-                 stats_, pool ? &*pool : nullptr, sweep_pool, out);
+                 pool ? &*pool : nullptr, sweep_pool, out);
   return finish(out);
 }
 

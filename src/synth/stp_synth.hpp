@@ -27,7 +27,7 @@
 
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "synth/factorize.hpp"
 #include "synth/lower_bound.hpp"
@@ -122,16 +122,6 @@ struct stp_options {
   factorize_options factor;
 };
 
-/// Search statistics of the last `run`.
-struct stp_stats {
-  std::uint64_t fences = 0;
-  std::uint64_t dags = 0;
-  std::uint64_t partitions_tried = 0;
-  std::uint64_t factorizations = 0;
-  std::uint64_t candidates = 0;  ///< complete chains assembled
-  std::uint64_t verified = 0;    ///< candidates passing AllSAT + simulation
-};
-
 /// The STP exact-synthesis engine.
 class stp_engine {
 public:
@@ -150,11 +140,8 @@ public:
                              core::run_context* ctx = nullptr,
                              unsigned max_gates = 24);
 
-  [[nodiscard]] const stp_stats& stats() const { return stats_; }
-
 private:
   stp_options options_;
-  stp_stats stats_;
 };
 
 /// Convenience wrapper: run the engine with default options.

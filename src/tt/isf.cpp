@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "tt/kernels/kernels.hpp"
+#include "tt/word_ops.hpp"
 
 namespace stpes::tt {
 
@@ -22,8 +22,8 @@ isf isf::from_function(const truth_table& function) {
 bool isf::accepts(const truth_table& candidate) const {
   // Word-at-a-time cover check; no temporary tables.
   const auto& care = care_.words();
-  return kernels::words_accept(candidate.words().data(), care.data(),
-                               on_.words().data(), care.size());
+  return word_ops::words_accept(candidate.words().data(), care.data(),
+                                on_.words().data(), care.size());
 }
 
 isf isf::complement() const { return isf{~on_ & care_, care_}; }
@@ -32,9 +32,9 @@ std::optional<isf> isf::intersect(const isf& other) const {
   assert(num_vars() == other.num_vars());
   // Conflict: a minterm in both care sets with opposite polarity.
   const auto& a_care = care_.words();
-  if (kernels::words_conflict(on_.words().data(), other.on_.words().data(),
-                              a_care.data(), other.care_.words().data(),
-                              a_care.size())) {
+  if (word_ops::words_conflict(on_.words().data(), other.on_.words().data(),
+                               a_care.data(), other.care_.words().data(),
+                               a_care.size())) {
     return std::nullopt;
   }
   return isf{on_ | other.on_, care_ | other.care_};

@@ -5,16 +5,13 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "tt/kernels/kernels.hpp"
+#include "tt/word_ops.hpp"
 
 namespace stpes::tt {
 
 namespace {
 
-/// Projection masks for variables 0..5 inside one 64-bit word.
-constexpr std::uint64_t kProjection[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+using word_ops::kProjection;
 
 std::size_t words_needed(unsigned num_vars) {
   return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
@@ -175,33 +172,33 @@ truth_table truth_table::from_words(unsigned num_vars,
 
 truth_table truth_table::operator~() const {
   truth_table result{*this};
-  // NOT + normalize in one kernel pass: the last-word mask re-applies
+  // NOT + normalize in one pass: the last-word mask re-applies
   // mask_excess_bits for tables of fewer than 64 minterms.
   const std::uint64_t last_mask =
       num_vars() < 6 ? (std::uint64_t{1} << num_bits()) - 1 : ~std::uint64_t{0};
-  kernels::bulk_not_mask(result.words_.data(), words_.data(), words_.size(),
-                         last_mask);
+  word_ops::bulk_not_mask(result.words_.data(), words_.data(), words_.size(),
+                          last_mask);
   return result;
 }
 
 truth_table& truth_table::operator&=(const truth_table& other) {
   assert(num_vars() == other.num_vars());
-  kernels::bulk_and(words_.data(), words_.data(), other.words_.data(),
-                    words_.size());
+  word_ops::bulk_and(words_.data(), words_.data(), other.words_.data(),
+                     words_.size());
   return *this;
 }
 
 truth_table& truth_table::operator|=(const truth_table& other) {
   assert(num_vars() == other.num_vars());
-  kernels::bulk_or(words_.data(), words_.data(), other.words_.data(),
-                   words_.size());
+  word_ops::bulk_or(words_.data(), words_.data(), other.words_.data(),
+                    words_.size());
   return *this;
 }
 
 truth_table& truth_table::operator^=(const truth_table& other) {
   assert(num_vars() == other.num_vars());
-  kernels::bulk_xor(words_.data(), words_.data(), other.words_.data(),
-                    words_.size());
+  word_ops::bulk_xor(words_.data(), words_.data(), other.words_.data(),
+                     words_.size());
   return *this;
 }
 

@@ -28,14 +28,12 @@ namespace stpes::tt {
 /// tables in their innermost loops, and avoiding the heap there is a
 /// measurable win.  Larger tables (9..16 variables) spill to the heap.
 ///
-/// The inline buffer is 32-byte aligned so the SIMD kernel tiers can use
-/// aligned 256-bit loads on it (heap spills keep the allocator's
-/// alignment and go through unaligned loads).  The layout is packed to
-/// exactly two 32-byte slots: the aligned word block, then the heap
-/// vector, a 32-bit count, and one spare 32-bit `aux` word donated to the
-/// owning class.  Without the donation any member the owner declares
-/// after the storage would pad it to the next 32-byte boundary — a
-/// measured ~15% synthesis slowdown from 96-byte truth tables.
+/// The layout is packed to exactly one 64-byte cache line: the 32-byte
+/// aligned inline word block, then the heap vector, a 32-bit count, and
+/// one spare 32-bit `aux` word donated to the owning class.  Without the
+/// donation any member the owner declares after the storage would pad it
+/// to the next 32-byte boundary — a measured ~15% synthesis slowdown from
+/// 96-byte truth tables, whose factor-memo working set falls out of L2.
 class word_storage {
 public:
   word_storage() = default;
@@ -83,8 +81,8 @@ private:
 };
 
 static_assert(alignof(word_storage) >= 32,
-              "inline truth-table words must be 32-byte aligned for the "
-              "vector kernel tier");
+              "inline truth-table words must start a 32-byte slot so the "
+              "storage packs into one cache line");
 static_assert(sizeof(word_storage) == 64,
               "word_storage must stay two 32-byte slots; padding here is "
               "copied in every truth-table move on the synthesis hot path");

@@ -187,9 +187,6 @@ public:
   /// Deadline of `seconds` from now; non-positive means unlimited.
   explicit run_context(double seconds) : budget_(seconds) {}
 
-  /// Adopts an existing `time_budget` deadline (deprecation shim path).
-  explicit run_context(util::time_budget budget) : budget_(budget) {}
-
   /// A worker-local child context: inherits the parent's deadline and
   /// observes the parent's cancel flag (transitively, so a cancel anywhere
   /// up the chain stops the worker), while owning its *own* counters and

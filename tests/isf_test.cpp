@@ -86,6 +86,26 @@ TEST(Isf, IntersectConflictDetected) {
   EXPECT_FALSE(forced_one.intersect(forced_zero).has_value());
   // Self-intersection is always fine.
   EXPECT_TRUE(forced_one.intersect(forced_one).has_value());
+
+  // Multi-word tables: a single opposite-polarity minterm in the last
+  // word is a conflict; the same minterm outside one care set is not.
+  stpes::util::rng rng{41};
+  for (const unsigned n : {9u, 10u}) {
+    const auto shared_care = random_tt(n, rng);
+    const auto on = random_tt(n, rng) & shared_care;
+    const std::uint64_t last = shared_care.num_bits() - 1;
+    truth_table care_a = shared_care;
+    care_a.set_bit(last, true);
+    truth_table flipped = on;
+    flipped.set_bit(last, !on.get_bit(last));
+    const isf a{on, care_a};
+    EXPECT_FALSE(a.intersect(isf{flipped & care_a, care_a}).has_value())
+        << "n=" << n;
+    truth_table care_b = care_a;
+    care_b.set_bit(last, false);
+    EXPECT_TRUE(a.intersect(isf{flipped & care_b, care_b}).has_value())
+        << "n=" << n;
+  }
 }
 
 TEST(Isf, ProjectToConeOfCompleteFunctionInCone) {
@@ -145,12 +165,21 @@ TEST(Isf, CompletionInConeRespectsRequirement) {
 
 TEST(Isf, AcceptsIsInvariantUnderDontCareChanges) {
   stpes::util::rng rng{123};
-  const auto f = random_tt(5, rng);
-  const auto care = random_tt(5, rng);
-  const isf spec{f & care, care};
-  // Any function agreeing on the care set is accepted.
-  const auto noise = random_tt(5, rng) & ~care;
-  EXPECT_TRUE(spec.accepts((f & care) | noise));
+  for (const unsigned n : {5u, 9u, 10u}) {
+    const auto f = random_tt(n, rng);
+    auto care = random_tt(n, rng);
+    const std::uint64_t last = care.num_bits() - 1;
+    care.set_bit(last, true);
+    const isf spec{f & care, care};
+    // Any function agreeing on the care set is accepted.
+    const auto noise = random_tt(n, rng) & ~care;
+    const auto agreeing = (f & care) | noise;
+    EXPECT_TRUE(spec.accepts(agreeing)) << "n=" << n;
+    // Disagreeing on one care minterm, in the last word, is not.
+    auto disagreeing = agreeing;
+    disagreeing.set_bit(last, !agreeing.get_bit(last));
+    EXPECT_FALSE(spec.accepts(disagreeing)) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -188,7 +188,8 @@ TEST(SatSolver, ConflictBudgetReturnsUnknown) {
 TEST(SatSolver, TimeBudgetAlreadyExpired) {
   solver s;
   add_pigeonhole(s, 8);
-  s.set_time_budget(stpes::util::time_budget{1e-9});
+  stpes::core::run_context ctx{1e-9};  // expired before the first poll
+  s.set_run_context(&ctx);
   EXPECT_EQ(s.solve(), solve_result::unknown);
 }
 

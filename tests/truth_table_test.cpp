@@ -230,6 +230,22 @@ TEST_P(TruthTableVarSweep, DeMorganHoldsForRandomFunctions) {
     EXPECT_EQ(~(f & g), ~f | ~g);
     EXPECT_EQ(~(f | g), ~f & ~g);
     EXPECT_EQ(f ^ g, (f | g) & ~(f & g));
+    // The identities would also hold for an operator that is wrong on
+    // every bit, so check each connective against the bits themselves.
+    const auto f_not = ~f;
+    const auto f_and = f & g;
+    const auto f_or = f | g;
+    const auto f_xor = f ^ g;
+    for (std::uint64_t t = 0; t < f.num_bits(); ++t) {
+      const bool a = f.get_bit(t);
+      const bool b = g.get_bit(t);
+      ASSERT_EQ(f_not.get_bit(t), !a) << "n=" << n << " t=" << t;
+      ASSERT_EQ(f_and.get_bit(t), a && b) << "n=" << n << " t=" << t;
+      ASSERT_EQ(f_or.get_bit(t), a || b) << "n=" << n << " t=" << t;
+      ASSERT_EQ(f_xor.get_bit(t), a != b) << "n=" << n << " t=" << t;
+    }
+    // ~ must leave the bits past the last minterm clear.
+    EXPECT_EQ(f_not.count_ones(), f.num_bits() - f.count_ones());
   }
 }
 
@@ -251,6 +267,6 @@ TEST_P(TruthTableVarSweep, ShannonExpansionHolds) {
 
 INSTANTIATE_TEST_SUITE_P(AllSizes, TruthTableVarSweep,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u,
-                                           8u));
+                                           8u, 9u, 10u));
 
 }  // namespace
