@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "core/exact_synthesis.hpp"
@@ -86,6 +88,36 @@ TEST(LowerBoundProbe, NonNormalTargetsAreComplementedForTheEncoding) {
   ASSERT_EQ(pr.verdict, probe_verdict::feasible);
   ASSERT_TRUE(pr.witness.has_value());
   EXPECT_EQ(pr.witness->simulate(), nand2);
+}
+
+TEST(LowerBoundProbe, MultiOutputProbeAgreesWithBmsOptimaOnMadd) {
+  // Joint optima of the MADD instances as the BMS engine proves them
+  // (`BENCH_table1_madd.json`, whose BMS row totals 25 gates with cmp2's
+  // 8): the level below is refuted and the optimum has a witness that
+  // computes every output.  cmp2 is left out: refuting its 7-gate level
+  // takes about 2 s in a Release build.
+  const std::map<std::string, unsigned> optimum{
+      {"half-adder", 2}, {"full-adder", 5}, {"cmp1", 3}, {"add2", 7}};
+  const auto prober = exact_prober();
+  std::size_t checked = 0;
+  for (const auto& inst : stpes::workload::madd_collection()) {
+    const auto it = optimum.find(inst.name);
+    if (it == optimum.end()) {
+      continue;
+    }
+    const unsigned k = it->second;
+    EXPECT_EQ(prober.probe_multi(inst.functions, k - 1).verdict,
+              probe_verdict::infeasible)
+        << inst.name << " at " << k - 1 << " gates";
+    const auto at_opt = prober.probe_multi(inst.functions, k);
+    ASSERT_EQ(at_opt.verdict, probe_verdict::feasible) << inst.name;
+    ASSERT_TRUE(at_opt.witness.has_value()) << inst.name;
+    EXPECT_EQ(at_opt.witness->size(), k) << inst.name;
+    EXPECT_EQ(at_opt.witness->simulate_outputs(), inst.functions)
+        << inst.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, optimum.size());
 }
 
 TEST(LowerBoundProbe, UnsatLevelsAreSkippedAndCounted) {

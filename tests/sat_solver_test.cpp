@@ -4,7 +4,10 @@
 
 #include <sstream>
 
+#include "fence/fence.hpp"
 #include "sat/dimacs.hpp"
+#include "synth/ssv_encoding.hpp"
+#include "tt/truth_table.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -238,18 +241,20 @@ bool model_satisfies(const cnf& formula, const solver& s,
   return true;
 }
 
-class SatFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(SatFuzz, AgreesWithBruteForceOnRandom3Cnf) {
-  stpes::util::rng rng{static_cast<std::uint64_t>(GetParam())};
-  for (int round = 0; round < 40; ++round) {
+/// Solves `rounds` random formulas of 4..11 variables against brute force.
+/// `clause_width()` draws each clause's width.
+template <typename Width>
+void expect_agrees_with_brute_force(stpes::util::rng& rng, int rounds,
+                                    Width clause_width) {
+  for (int round = 0; round < rounds; ++round) {
     cnf formula;
     formula.num_vars = 4 + rng.next_below(8);  // 4..11 variables
     const std::size_t num_clauses =
         static_cast<std::size_t>(formula.num_vars * (2 + rng.next_below(3)));
     for (std::size_t c = 0; c < num_clauses; ++c) {
       clause_lits clause;
-      for (int k = 0; k < 3; ++k) {
+      const int width = clause_width();
+      for (int k = 0; k < width; ++k) {
         const auto v = static_cast<var>(rng.next_below(formula.num_vars));
         clause.push_back(lit{v, rng.next_bool()});
       }
@@ -283,7 +288,130 @@ TEST_P(SatFuzz, AgreesWithBruteForceOnRandom3Cnf) {
   }
 }
 
+class SatFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SatFuzz, AgreesWithBruteForceOnRandom3Cnf) {
+  stpes::util::rng rng{static_cast<std::uint64_t>(GetParam())};
+  expect_agrees_with_brute_force(rng, 40, [] { return 3; });
+}
+
+TEST_P(SatFuzz, AgreesWithBruteForceOnBinaryHeavyCnf) {
+  // Three clauses in four are binary, the rest ternary: binary clauses are
+  // both watched literals at once, and their reasons imply either literal.
+  stpes::util::rng rng{static_cast<std::uint64_t>(GetParam()) + 1000};
+  expect_agrees_with_brute_force(
+      rng, 40, [&rng] { return rng.next_below(4) == 0 ? 3 : 2; });
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SatFuzz, ::testing::Range(1, 9));
+
+/// Random 3-CNF of `num_clauses` clauses over `num_vars` variables, each
+/// clause over three distinct variables.  With `planted`, a hidden
+/// assignment is drawn first and only clauses it satisfies are kept, so the
+/// formula is satisfiable.
+cnf random_3cnf(std::uint64_t seed, std::size_t num_vars,
+                std::size_t num_clauses, bool planted) {
+  stpes::util::rng rng{seed};
+  std::vector<bool> hidden(num_vars);
+  for (std::size_t v = 0; v < num_vars; ++v) {
+    hidden[v] = rng.next_bool();
+  }
+  cnf formula;
+  formula.num_vars = num_vars;
+  while (formula.clauses.size() < num_clauses) {
+    clause_lits clause;
+    bool satisfied = false;
+    while (clause.size() < 3) {
+      const auto v = static_cast<var>(rng.next_below(num_vars));
+      bool fresh = true;
+      for (const lit p : clause) {
+        fresh = fresh && p.variable() != v;
+      }
+      if (!fresh) {
+        continue;
+      }
+      const bool negated = rng.next_bool();
+      satisfied = satisfied || hidden[static_cast<std::size_t>(v)] != negated;
+      clause.push_back(lit{v, negated});
+    }
+    if (satisfied || !planted) {
+      formula.clauses.push_back(std::move(clause));
+    }
+  }
+  return formula;
+}
+
+TEST(SatSolver, PlantedRandom3SatSurvivesClauseDatabaseReduction) {
+  // Large enough that the learnt database is reduced (and its storage
+  // compacted) several times before the model is found.
+  const auto formula = random_3cnf(7, 300, 1260, /*planted=*/true);
+  solver s;
+  ASSERT_TRUE(stpes::sat::load_into_solver(formula, s));
+  ASSERT_EQ(s.solve(), solve_result::sat);
+  EXPECT_GT(s.stats().removed_clauses, 0u);
+  std::vector<var> vars(formula.num_vars);
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    vars[v] = static_cast<var>(v);
+  }
+  EXPECT_TRUE(model_satisfies(formula, s, vars));
+}
+
+/// The search trace of one solve: equal traces mean the same decisions,
+/// conflicts, propagations, restarts and clause database reductions.
+struct search_trace {
+  std::uint64_t decisions, conflicts, propagations, restarts, learnt_clauses,
+      removed_clauses;
+  bool operator==(const search_trace& o) const {
+    return decisions == o.decisions && conflicts == o.conflicts &&
+           propagations == o.propagations && restarts == o.restarts &&
+           learnt_clauses == o.learnt_clauses &&
+           removed_clauses == o.removed_clauses;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const search_trace& t) {
+  return os << "{" << t.decisions << ", " << t.conflicts << ", "
+            << t.propagations << ", " << t.restarts << ", "
+            << t.learnt_clauses << ", " << t.removed_clauses << "}";
+}
+
+search_trace trace_of(const solver& s) {
+  const auto& st = s.stats();
+  return {st.decisions,      st.conflicts,      st.propagations,
+          st.restarts,       st.learnt_clauses, st.removed_clauses};
+}
+
+// Pinned search traces.  Changing how clauses are stored, watched or
+// compacted must leave them exactly as they are; only a deliberate change
+// of the search heuristics (decision order, restarts, learning,
+// reduction) may update the numbers, and that update is recorded in
+// CHANGES.md.
+
+TEST(SatSolverTrace, RandomUnsat3CnfIsPinned) {
+  const auto formula = random_3cnf(7, 200, 852, /*planted=*/false);
+  solver s;
+  ASSERT_TRUE(stpes::sat::load_into_solver(formula, s));
+  ASSERT_EQ(s.solve(), solve_result::unsat);
+  EXPECT_EQ(trace_of(s),
+            (search_trace{17637, 14609, 9088017, 61, 14603, 11000}));
+}
+
+TEST(SatSolverTrace, FenceProbeInstanceIsPinned) {
+  // NPN4 class 0x0119 (optimum 6 gates) on the fence (2,1,1,1,1), encoded
+  // as the lower-bound probe encodes a fence, without symmetry breaks: the
+  // encoding takes the normal complement and the chain inverts it back.
+  const auto f = stpes::tt::truth_table::from_hex(4, "0x0119");
+  const stpes::fence::fence fc{{2, 1, 1, 1, 1}};
+  solver s;
+  stpes::synth::ssv_encoding enc{s, ~f, 6,
+                                 stpes::synth::fence_fanin_pairs(fc, 4)};
+  enc.encode_structure();
+  enc.encode_all_rows();
+  ASSERT_EQ(s.solve(), solve_result::sat);
+  EXPECT_EQ(enc.extract_chain(true).simulate(), f);
+  EXPECT_EQ(trace_of(s),
+            (search_trace{20680, 15737, 12942473, 61, 15737, 11000}));
+}
 
 TEST(Dimacs, ParseAndSolveRoundTrip) {
   const std::string text =
