@@ -3,27 +3,82 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <memory>
 
 namespace stpes::sat {
 
 namespace {
 
-/// Learnt/problem clause. Kept simple: a small header plus the literal
-/// vector; ownership lives in the solver's clause arenas.
-struct clause {
-  std::vector<lit> lits;
-  double activity = 0.0;
-  bool learnt = false;
+/// A clause's offset in the clause arena.
+using cref = std::uint32_t;
+constexpr cref kNoClause = ~cref{0};
 
-  [[nodiscard]] std::size_t size() const { return lits.size(); }
-  lit& operator[](std::size_t i) { return lits[i]; }
-  const lit& operator[](std::size_t i) const { return lits[i]; }
+/// Every clause of a solver, stored inline in one flat array: a two-word
+/// header (literal count and flags; the activity slot of a learnt clause)
+/// followed by the literals, so a watcher reaches the literals through one
+/// offset.  Freed clauses stay in place until the solver compacts the
+/// arena (`assign_forwarding`, then `slide_down`).
+class clause_arena {
+public:
+  cref alloc(const std::vector<lit>& lits, bool learnt, std::uint32_t slot) {
+    const auto c = static_cast<cref>(mem_.size());
+    mem_.push_back(header(lits.size() << 2 | (learnt ? 1 : 0)));
+    mem_.push_back(header(slot));
+    mem_.insert(mem_.end(), lits.begin(), lits.end());
+    return c;
+  }
+
+  [[nodiscard]] std::uint32_t size(cref c) const { return word(c) >> 2; }
+  [[nodiscard]] bool learnt(cref c) const { return (word(c) & 1) != 0; }
+  [[nodiscard]] std::uint32_t slot(cref c) const { return word(c + 1); }
+  void set_slot(cref c, std::uint32_t slot) { mem_[c + 1] = header(slot); }
+  lit* lits(cref c) { return mem_.data() + c + kHeader; }
+
+  void release(cref c) { mem_[c] = header(word(c) | 2); }
+
+  /// Compaction, first step: the new offset of every live clause, readable
+  /// through `forward` until `slide_down`.  Overwrites the slots.
+  void assign_forwarding() {
+    cref next = 0;
+    for (cref c = 0; c < mem_.size(); c += kHeader + size(c)) {
+      if (!dead(c)) {
+        mem_[c + 1] = header(next);
+        next += kHeader + size(c);
+      }
+    }
+  }
+  [[nodiscard]] cref forward(cref c) const { return word(c + 1); }
+  /// Compaction, second step: moves every live clause to its new offset.
+  void slide_down() {
+    cref end = 0;
+    for (cref c = 0; c < mem_.size();) {
+      const cref len = kHeader + size(c);
+      if (!dead(c)) {
+        end = forward(c) + len;
+        std::copy(mem_.begin() + c, mem_.begin() + c + len,
+                  mem_.begin() + forward(c));
+      }
+      c += len;
+    }
+    mem_.resize(end);
+  }
+
+private:
+  static constexpr cref kHeader = 2;
+
+  static lit header(std::uint64_t bits) {
+    return lit::from_code(static_cast<std::int32_t>(bits));
+  }
+  [[nodiscard]] std::uint32_t word(cref c) const {
+    return static_cast<std::uint32_t>(mem_[c].code());
+  }
+  [[nodiscard]] bool dead(cref c) const { return (word(c) & 2) != 0; }
+
+  std::vector<lit> mem_;
 };
 
 struct watcher {
-  clause* c = nullptr;
+  cref c = kNoClause;
   lit blocker;
 };
 
@@ -140,15 +195,18 @@ private:
 
 struct solver::impl {
   // Problem state -----------------------------------------------------
-  std::deque<clause> clauses;  // stable addresses
-  std::deque<clause> learnts_arena;
-  std::vector<clause*> learnts;
+  clause_arena arena;
+  std::size_t num_problem_clauses = 0;
+  std::vector<cref> learnts;
+  /// Learnt clause activities; `learnt_activity[arena.slot(c)]` is c's.
+  std::vector<double> learnt_activity;
+  std::vector<lit> learnt_buffer;  // the clause `analyze` derives
   std::vector<std::vector<watcher>> watches;  // indexed by lit code
   std::vector<lbool> assigns;
   std::vector<bool> polarity;  // saved phases (true = last value was true)
   std::vector<double> activity;
   std::vector<int> level;
-  std::vector<clause*> reason;
+  std::vector<cref> reason;
   std::vector<lit> trail;
   std::vector<std::size_t> trail_lim;
   std::size_t qhead = 0;
@@ -184,7 +242,7 @@ struct solver::impl {
 
   void new_decision_level() { trail_lim.push_back(trail.size()); }
 
-  void enqueue(lit p, clause* from) {
+  void enqueue(lit p, cref from) {
     const var v = p.variable();
     assigns[v] = to_lbool(!p.negated());
     level[v] = decision_level();
@@ -192,14 +250,15 @@ struct solver::impl {
     trail.push_back(p);
   }
 
-  void attach(clause* c) {
-    watches[(~(*c)[0]).code()].push_back(watcher{c, (*c)[1]});
-    watches[(~(*c)[1]).code()].push_back(watcher{c, (*c)[0]});
+  void attach(cref c) {
+    const lit* lits = arena.lits(c);
+    watches[(~lits[0]).code()].push_back(watcher{c, lits[1]});
+    watches[(~lits[1]).code()].push_back(watcher{c, lits[0]});
   }
 
-  void detach(clause* c) {
+  void detach(cref c) {
     for (int i = 0; i < 2; ++i) {
-      auto& ws = watches[(~(*c)[i]).code()];
+      auto& ws = watches[(~arena.lits(c)[i]).code()];
       ws.erase(std::remove_if(ws.begin(), ws.end(),
                               [c](const watcher& w) { return w.c == c; }),
                ws.end());
@@ -217,18 +276,19 @@ struct solver::impl {
     order.increased(v);
   }
 
-  void cla_bump(clause* c) {
-    c->activity += cla_inc;
-    if (c->activity > 1e20) {
-      for (auto* learnt : learnts) {
-        learnt->activity *= 1e-20;
+  void cla_bump(cref c) {
+    double& activity = learnt_activity[arena.slot(c)];
+    activity += cla_inc;
+    if (activity > 1e20) {
+      for (auto& a : learnt_activity) {
+        a *= 1e-20;
       }
       cla_inc *= 1e-20;
     }
   }
 
-  clause* propagate() {
-    clause* conflict = nullptr;
+  cref propagate() {
+    cref conflict = kNoClause;
     while (qhead < trail.size()) {
       const lit p = trail[qhead++];
       auto& ws = watches[p.code()];
@@ -241,7 +301,7 @@ struct solver::impl {
           ws[keep++] = w;
           continue;
         }
-        clause& c = *w.c;
+        lit* c = arena.lits(w.c);
         // Normalize: the false literal ~p sits at position 1.
         if (c[0] == ~p) {
           std::swap(c[0], c[1]);
@@ -252,7 +312,8 @@ struct solver::impl {
           continue;
         }
         bool moved = false;
-        for (std::size_t k = 2; k < c.size(); ++k) {
+        const std::uint32_t size = arena.size(w.c);
+        for (std::uint32_t k = 2; k < size; ++k) {
           if (value(c[k]) != lbool::false_value) {
             std::swap(c[1], c[k]);
             watches[(~c[1]).code()].push_back(watcher{w.c, first});
@@ -276,7 +337,7 @@ struct solver::impl {
         enqueue(first, w.c);
       }
       ws.resize(keep);
-      if (conflict != nullptr) {
+      if (conflict != kNoClause) {
         break;
       }
     }
@@ -292,7 +353,7 @@ struct solver::impl {
       const var v = trail[i].variable();
       polarity[v] = assigns[v] == lbool::true_value;
       assigns[v] = lbool::undef;
-      reason[v] = nullptr;
+      reason[v] = kNoClause;
       order.insert(v);
     }
     trail.resize(bound);
@@ -302,7 +363,7 @@ struct solver::impl {
 
   /// First-UIP conflict analysis; fills `out_learnt` (asserting literal
   /// first) and returns the backtrack level.
-  int analyze(clause* conflict, std::vector<lit>& out_learnt) {
+  int analyze(cref conflict, std::vector<lit>& out_learnt) {
     out_learnt.clear();
     out_learnt.push_back(lit{});  // placeholder for the asserting literal
     int path_count = 0;
@@ -310,15 +371,17 @@ struct solver::impl {
     bool p_valid = false;
     std::size_t index = trail.size();
 
-    clause* reason_clause = conflict;
+    cref reason_clause = conflict;
     do {
-      assert(reason_clause != nullptr);
-      if (reason_clause->learnt) {
+      assert(reason_clause != kNoClause);
+      if (arena.learnt(reason_clause)) {
         cla_bump(reason_clause);
       }
-      const std::size_t start = p_valid ? 1 : 0;
-      for (std::size_t j = start; j < reason_clause->size(); ++j) {
-        const lit q = (*reason_clause)[j];
+      // A reason clause holds its implied literal at position 0.
+      const lit* lits = arena.lits(reason_clause);
+      const std::uint32_t size = arena.size(reason_clause);
+      for (std::uint32_t j = p_valid ? 1 : 0; j < size; ++j) {
+        const lit q = lits[j];
         const var v = q.variable();
         if (seen[v] == 0 && level[v] > 0) {
           var_bump(v);
@@ -364,31 +427,63 @@ struct solver::impl {
   }
 
   void reduce_db() {
-    std::sort(learnts.begin(), learnts.end(),
-              [](const clause* a, const clause* b) {
-                if ((a->size() > 2) != (b->size() > 2)) {
-                  return a->size() > 2;  // long clauses first (worse)
-                }
-                return a->activity < b->activity;
-              });
+    std::sort(learnts.begin(), learnts.end(), [this](cref a, cref b) {
+      const bool a_long = arena.size(a) > 2;
+      if (a_long != (arena.size(b) > 2)) {
+        return a_long;  // long clauses first (worse)
+      }
+      return learnt_activity[arena.slot(a)] <
+             learnt_activity[arena.slot(b)];
+    });
     const std::size_t target = learnts.size() / 2;
     std::size_t removed = 0;
-    std::vector<clause*> kept;
+    std::vector<cref> kept;
+    std::vector<double> kept_activity;
     kept.reserve(learnts.size());
-    for (std::size_t i = 0; i < learnts.size(); ++i) {
-      clause* c = learnts[i];
-      const bool locked = reason[(*c)[0].variable()] == c &&
-                          value((*c)[0]) == lbool::true_value;
-      if (removed < target && c->size() > 2 && !locked) {
+    kept_activity.reserve(learnts.size());
+    for (const cref c : learnts) {
+      const lit first = arena.lits(c)[0];
+      const bool locked = reason[first.variable()] == c &&
+                          value(first) == lbool::true_value;
+      if (removed < target && arena.size(c) > 2 && !locked) {
         detach(c);
-        c->lits.clear();  // mark dead; arena storage reclaimed lazily
+        arena.release(c);
         ++removed;
         ++stats.removed_clauses;
       } else {
         kept.push_back(c);
+        kept_activity.push_back(learnt_activity[arena.slot(c)]);
       }
     }
     learnts = std::move(kept);
+    learnt_activity = std::move(kept_activity);
+    // Half the learnt clauses were just freed: compacting now keeps the
+    // arena from growing over dead clauses.
+    compact();
+    for (std::uint32_t i = 0; i < learnts.size(); ++i) {
+      arena.set_slot(learnts[i], i);
+    }
+  }
+
+  /// Slides the live clauses down the arena; every watcher, reason and
+  /// learnt list entry follows its clause.  Slots must be reassigned after.
+  void compact() {
+    arena.assign_forwarding();
+    for (auto& ws : watches) {
+      for (auto& w : ws) {
+        w.c = arena.forward(w.c);
+      }
+    }
+    for (const lit p : trail) {
+      cref& r = reason[p.variable()];
+      if (r != kNoClause) {
+        r = arena.forward(r);
+      }
+    }
+    for (cref& c : learnts) {
+      c = arena.forward(c);
+    }
+    arena.slide_down();
   }
 
   /// Runs CDCL until a restart limit, a budget stop, or a definite answer.
@@ -396,8 +491,8 @@ struct solver::impl {
                       const std::vector<lit>& assumptions) {
     std::uint64_t local_conflicts = 0;
     while (true) {
-      clause* conflict = propagate();
-      if (conflict != nullptr) {
+      const cref conflict = propagate();
+      if (conflict != kNoClause) {
         ++stats.conflicts;
         ++local_conflicts;
         if (decision_level() == 0) {
@@ -408,7 +503,7 @@ struct solver::impl {
         // learnt clause asserts below the assumption prefix, and an
         // unsatisfiable assumption set eventually surfaces as a falsified
         // assumption at its decision step (or a level-0 conflict).
-        std::vector<lit> learnt;
+        std::vector<lit>& learnt = learnt_buffer;
         const int bt_level = analyze(conflict, learnt);
         backtrack_to(bt_level);
         if (learnt.size() == 1) {
@@ -417,14 +512,15 @@ struct solver::impl {
             backtrack_to(0);
           }
           if (value(learnt[0]) == lbool::undef) {
-            enqueue(learnt[0], nullptr);
+            enqueue(learnt[0], kNoClause);
           } else if (value(learnt[0]) == lbool::false_value) {
             ok = false;
             return solve_result::unsat;
           }
         } else {
-          learnts_arena.push_back(clause{learnt, cla_inc, true});
-          clause* c = &learnts_arena.back();
+          const cref c = arena.alloc(
+              learnt, true, static_cast<std::uint32_t>(learnt_activity.size()));
+          learnt_activity.push_back(cla_inc);
           learnts.push_back(c);
           ++stats.learnt_clauses;
           attach(c);
@@ -465,7 +561,7 @@ struct solver::impl {
         }
         ++stats.decisions;
         new_decision_level();
-        enqueue(p, nullptr);
+        enqueue(p, kNoClause);
         continue;
       }
 
@@ -489,7 +585,7 @@ struct solver::impl {
         return solve_result::unknown;
       }
       new_decision_level();
-      enqueue(lit{next, !polarity[next]}, nullptr);
+      enqueue(lit{next, !polarity[next]}, kNoClause);
     }
   }
 };
@@ -504,7 +600,7 @@ var solver::new_var() {
   s.polarity.push_back(false);
   s.activity.push_back(0.0);
   s.level.push_back(0);
-  s.reason.push_back(nullptr);
+  s.reason.push_back(kNoClause);
   s.seen.push_back(0);
   s.watches.emplace_back();
   s.watches.emplace_back();
@@ -515,7 +611,9 @@ var solver::new_var() {
 
 std::size_t solver::num_vars() const { return impl_->assigns.size(); }
 
-std::size_t solver::num_clauses() const { return impl_->clauses.size(); }
+std::size_t solver::num_clauses() const {
+  return impl_->num_problem_clauses;
+}
 
 bool solver::add_clause(clause_lits lits) {
   auto& s = *impl_;
@@ -547,15 +645,15 @@ bool solver::add_clause(clause_lits lits) {
     return false;
   }
   if (simplified.size() == 1) {
-    s.enqueue(simplified[0], nullptr);
-    if (s.propagate() != nullptr) {
+    s.enqueue(simplified[0], kNoClause);
+    if (s.propagate() != kNoClause) {
       s.ok = false;
       return false;
     }
     return true;
   }
-  s.clauses.push_back(clause{std::move(simplified), 0.0, false});
-  s.attach(&s.clauses.back());
+  ++s.num_problem_clauses;
+  s.attach(s.arena.alloc(simplified, false, 0));
   return true;
 }
 

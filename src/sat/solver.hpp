@@ -2,12 +2,16 @@
 /// \brief A from-scratch CDCL SAT solver.
 ///
 /// This is the shared CNF reasoning substrate for the three baseline exact-
-/// synthesis engines (BMS, FEN, and the CEGAR stand-in for ABC `lutexact`).
+/// synthesis engines (BMS, FEN, and the CEGAR stand-in for ABC `lutexact`)
+/// and for the STP engine's lower-bound probe (`synth/lower_bound.hpp`).
 /// Using one solver for all baselines keeps the Table-I comparison about
 /// *encodings and algorithms*, not solver maturity.
 ///
 /// Feature set (MiniSat-style):
-///   * two-watched-literal unit propagation,
+///   * two-watched-literal unit propagation with blocker literals,
+///   * all clauses inline in one flat arena (`[header | literals]`,
+///     addressed by 32-bit offsets), compacted in place after every
+///     learnt-clause reduction,
 ///   * first-UIP conflict analysis with clause learning,
 ///   * VSIDS variable activities with an indexed binary max-heap,
 ///   * phase saving,
