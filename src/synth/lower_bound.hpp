@@ -30,6 +30,24 @@
 ///     would yield a chain at an already-refuted smaller level).  This one
 ///     is the encoder's own `use_all_steps` option.
 ///
+/// **Fence order.** A level's pruned fences are tried widest level 0
+/// first — the reverse of the lexicographic order `fence::pruned_fences`
+/// generates, which starts with the narrow, deep fences — and the probe
+/// stops at the first SAT fence.  Chains concentrate in the wide, shallow
+/// shapes (the observation behind `reverse_dag_sweep`), so a feasible level
+/// is usually answered within its first few fences.  An infeasible level
+/// refutes every fence in either order, so the order changes no verdict,
+/// only `probe_calls`, the SAT counters and which witness is returned.
+/// Probing each level once on a 4-core x86-64 machine (Release, two runs):
+/// the feasible levels of the 80 `npn4-first` pool classes cost 8.5–10.0 s
+/// and 797 503 conflicts in generation order, 2.6–3.1 s and 267 442
+/// conflicts widest-first, while their 170 infeasible levels cost 9–10.5 s
+/// and 948 730 conflicts either way; MADD's feasible levels
+/// (`probe_multi`) go from 11.5–13.1 s to 0.32–0.40 s (EXPERIMENTS.md,
+/// "Probe fence order and clause arena").  The FEN baseline
+/// (`synth/fen.cpp`) keeps generation order, as it reproduces the
+/// published engine.
+///
 /// The probe answers `feasible` / `infeasible` / `unknown`; `unknown`
 /// (conflict budget or deadline hit, or the instance is above
 /// `max_vars`) must be treated as *feasible* by callers — the sweep then
