@@ -11,11 +11,12 @@
 /// The class supports all Boolean connectives, cofactoring, support
 /// computation, variable permutation/negation, and (de)serialization to hex
 /// strings.  Functions of interest in this project have n <= 8 (<= 256 bits),
-/// so all operations favour clarity over large-n tuning.
+/// so all operations favour clarity over large-n tuning.  The synthesis
+/// hot path works on n <= 6, where a table is one inline word and the whole
+/// object is 16 bytes (see `word_storage`).
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -23,35 +24,78 @@
 
 namespace stpes::tt {
 
-/// Word storage with a small-buffer optimization: tables of up to 8
-/// variables (4 words) live inline — the synthesis engines copy truth
-/// tables in their innermost loops, and avoiding the heap there is a
-/// measurable win.  Larger tables (9..16 variables) spill to the heap.
+/// Word storage with a small-buffer optimization: a table of up to 6
+/// variables (one word) lives inline — the synthesis engines copy truth
+/// tables in their innermost loops, and every table they build there has
+/// at most 6 variables.  Tables of 7..16 variables spill to the heap.
 ///
-/// The layout is packed to exactly one 64-byte cache line: the 32-byte
-/// aligned inline word block, then the heap vector, a 32-bit count, and
-/// one spare 32-bit `aux` word donated to the owning class.  Without the
-/// donation any member the owner declares after the storage would pad it
-/// to the next 32-byte boundary — a measured ~15% synthesis slowdown from
-/// 96-byte truth tables, whose factor-memo working set falls out of L2.
+/// The layout is 16 bytes: the inline word shares a union with the heap
+/// pointer, then a 32-bit word count and one spare 32-bit `aux` word
+/// donated to the owning class (truth_table keeps its variable count
+/// there).  An inline copy is one word copy; a heap copy allocates.  A
+/// move steals the heap pointer and leaves the source empty (zero words)
+/// but assignable and destructible; an inline move is a copy.
 class word_storage {
 public:
   word_storage() = default;
   explicit word_storage(std::size_t count)
       : count_(static_cast<std::uint32_t>(count)) {
     if (count > kInline) {
-      heap_.assign(count, 0);
-    } else {
-      inline_.fill(0);
+      slot_.heap = new std::uint64_t[count]();
     }
   }
+  word_storage(const word_storage& other)
+      : count_(other.count_), aux_(other.aux_) {
+    if (other.on_heap()) {
+      slot_.heap = new std::uint64_t[count_];
+      std::memcpy(slot_.heap, other.slot_.heap,
+                  count_ * sizeof(std::uint64_t));
+    } else {
+      slot_.word = other.slot_.word;
+    }
+  }
+  word_storage(word_storage&& other) noexcept
+      : slot_(other.slot_), count_(other.count_), aux_(other.aux_) {
+    other.release_heap();
+  }
+  word_storage& operator=(const word_storage& other) {
+    if (this == &other) {
+      return *this;
+    }
+    if (!other.on_heap()) {
+      free_heap();
+      slot_.word = other.slot_.word;
+    } else {
+      if (count_ != other.count_) {
+        auto* fresh = new std::uint64_t[other.count_];
+        free_heap();
+        slot_.heap = fresh;
+      }
+      std::memcpy(slot_.heap, other.slot_.heap,
+                  other.count_ * sizeof(std::uint64_t));
+    }
+    count_ = other.count_;
+    aux_ = other.aux_;
+    return *this;
+  }
+  word_storage& operator=(word_storage&& other) noexcept {
+    if (this != &other) {
+      free_heap();
+      slot_ = other.slot_;
+      count_ = other.count_;
+      aux_ = other.aux_;
+      other.release_heap();
+    }
+    return *this;
+  }
+  ~word_storage() { free_heap(); }
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] std::uint64_t* data() {
-    return count_ > kInline ? heap_.data() : inline_.data();
+    return on_heap() ? slot_.heap : &slot_.word;
   }
   [[nodiscard]] const std::uint64_t* data() const {
-    return count_ > kInline ? heap_.data() : inline_.data();
+    return on_heap() ? slot_.heap : &slot_.word;
   }
   std::uint64_t& operator[](std::size_t i) { return data()[i]; }
   const std::uint64_t& operator[](std::size_t i) const { return data()[i]; }
@@ -60,9 +104,8 @@ public:
   [[nodiscard]] const std::uint64_t* begin() const { return data(); }
   [[nodiscard]] const std::uint64_t* end() const { return data() + count_; }
 
-  /// The spare word in the alignment padding; owned by the containing
-  /// class (truth_table keeps its variable count here), copied and moved
-  /// with the storage, ignored by operator==.
+  /// The spare word beside the count; owned by the containing class,
+  /// copied and moved with the storage, ignored by operator==.
   [[nodiscard]] std::uint32_t aux() const { return aux_; }
   void set_aux(std::uint32_t value) { aux_ = value; }
 
@@ -73,19 +116,37 @@ public:
   }
 
 private:
-  static constexpr std::size_t kInline = 4;
-  alignas(32) std::array<std::uint64_t, kInline> inline_{};
-  std::vector<std::uint64_t> heap_;
+  static constexpr std::size_t kInline = 1;
+
+  [[nodiscard]] bool on_heap() const { return count_ > kInline; }
+  void free_heap() {
+    if (on_heap()) {
+      delete[] slot_.heap;
+    }
+  }
+  /// After a move: the heap buffer now belongs to the destination, so a
+  /// heap source drops to zero words.  An inline source keeps its word.
+  void release_heap() {
+    if (on_heap()) {
+      slot_.word = 0;
+      count_ = 0;
+    }
+  }
+
+  /// The inline word, or the heap buffer when count_ > kInline.  Copied
+  /// as a whole on moves (a union copy carries whichever member is live).
+  union slot {
+    std::uint64_t word;
+    std::uint64_t* heap;
+  };
+  slot slot_{0};
   std::uint32_t count_ = 0;
   std::uint32_t aux_ = 0;
 };
 
-static_assert(alignof(word_storage) >= 32,
-              "inline truth-table words must start a 32-byte slot so the "
-              "storage packs into one cache line");
-static_assert(sizeof(word_storage) == 64,
-              "word_storage must stay two 32-byte slots; padding here is "
-              "copied in every truth-table move on the synthesis hot path");
+static_assert(sizeof(word_storage) == 16,
+              "word_storage must stay one word plus count and aux: it is "
+              "copied in every truth-table copy on the synthesis hot path");
 
 /// A completely specified Boolean function of `num_vars()` inputs.
 class truth_table {
@@ -201,8 +262,7 @@ private:
   void smooth_in_place(unsigned var);
 
   // The variable count lives in words_.aux(): keeping it outside the
-  // storage would pad the 32-byte-aligned words to the next boundary,
-  // growing every table copy by a third.
+  // storage would grow every table from 16 to 24 bytes.
   word_storage words_;
 };
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "tt/truth_table.hpp"
@@ -29,29 +31,35 @@ std::vector<std::uint64_t> random_words(rng& r, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// word_storage layout: one 64-byte cache line, because the factor memo's
-// working set falls out of L2 at 96 bytes (EXPERIMENTS.md).
+// word_storage layout: 16 bytes, one inline word (<= 6 variables) sharing
+// a union with the heap pointer, because the factor memo and every
+// factorization carry these tables by value (EXPERIMENTS.md).
 
-TEST(WordStorage, StaysTwoAlignedSlots) {
-  // Duplicates the header's static_asserts as a runtime statement of
-  // intent: the padding of this struct is copied on the hottest path.
-  EXPECT_EQ(sizeof(word_storage), 64u);
-  EXPECT_GE(alignof(word_storage), 32u);
+TEST(WordStorage, IsSixteenBytes) {
+  // Duplicates the header's static_assert as a runtime statement of
+  // intent: this struct is copied on the hottest path.
+  EXPECT_EQ(sizeof(word_storage), 16u);
+  EXPECT_EQ(sizeof(truth_table), 16u);
 }
 
-TEST(WordStorage, InlineWordsAreThirtyTwoByteAligned) {
-  // Inline storage (<= 8 variables) starts its 32-byte slot wherever the
-  // object lands: on the stack, in a vector, after moves.
-  truth_table on_stack{8};
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(on_stack.words().data()) % 32,
-            0u);
+TEST(WordStorage, InlineWordLivesInsideTheObject) {
+  // Up to 6 variables the word is stored in the object itself: on the
+  // stack, in a vector, after moves.
+  const auto inside = [](const truth_table& t) {
+    const auto* obj = reinterpret_cast<const char*>(&t);
+    const auto* word = reinterpret_cast<const char*>(t.words().data());
+    return word >= obj && word < obj + sizeof(truth_table);
+  };
   std::vector<truth_table> moved;
-  for (unsigned n = 0; n <= 8; ++n) {
+  for (unsigned n = 0; n <= 6; ++n) {
+    const truth_table on_stack{n};
+    EXPECT_TRUE(inside(on_stack)) << n;
     moved.push_back(truth_table{n});
   }
   for (const auto& t : moved) {
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.words().data()) % 32, 0u);
+    EXPECT_TRUE(inside(t));
   }
+  EXPECT_FALSE(inside(truth_table{7}));
 }
 
 TEST(WordStorage, AuxWordRoundTripsAndIsIgnoredByEquality) {
@@ -82,6 +90,108 @@ TEST(WordStorage, HeapSpillKeepsCountAndContents) {
   }
   const word_storage copy = big;
   EXPECT_TRUE(copy == big);
+}
+
+// Copy, move and assignment across the inline/heap boundary (6 | 7
+// variables): every pair of sizes 0..10 in both directions, checked
+// against an independent copy of the source contents.
+
+truth_table random_table(rng& r, unsigned n) {
+  truth_table t{n};
+  for (std::uint64_t i = 0; i < t.num_bits(); ++i) {
+    t.set_bit(i, (r.next_u64() & 1) != 0);
+  }
+  return t;
+}
+
+TEST(WordStorage, CopyAndMoveConstructAtEverySize) {
+  rng r{11};
+  for (unsigned n = 0; n <= 10; ++n) {
+    const truth_table src = random_table(r, n);
+    const std::string hex = src.to_hex();
+    truth_table copy{src};
+    EXPECT_EQ(copy, src) << n;
+    EXPECT_EQ(copy.num_vars(), n);
+    if (n > 6) {
+      EXPECT_NE(copy.words().data(), src.words().data()) << n;
+    }
+    truth_table moved{std::move(copy)};
+    EXPECT_EQ(moved.to_hex(), hex) << n;
+    EXPECT_EQ(moved.num_vars(), n);
+    // The moved-from table is reusable: assign, then use it.
+    copy = src;
+    EXPECT_EQ(copy.to_hex(), hex) << n;
+    EXPECT_EQ(src.to_hex(), hex) << n;
+  }
+}
+
+TEST(WordStorage, CopyAndMoveAssignAcrossInlineHeapBoundary) {
+  rng r{12};
+  for (unsigned from = 0; from <= 10; ++from) {
+    for (unsigned to = 0; to <= 10; ++to) {
+      const truth_table src = random_table(r, from);
+      const std::string hex = src.to_hex();
+      truth_table dst = random_table(r, to);
+      dst = src;
+      EXPECT_EQ(dst, src) << from << " over " << to;
+      EXPECT_EQ(dst.num_vars(), from);
+      EXPECT_EQ(dst.to_hex(), hex);
+
+      truth_table mdst = random_table(r, to);
+      truth_table tmp{src};
+      mdst = std::move(tmp);
+      EXPECT_EQ(mdst.to_hex(), hex) << from << " over " << to;
+      EXPECT_EQ(mdst.num_vars(), from);
+      // Reuse the moved-from source at the other size.
+      tmp = random_table(r, to);
+      EXPECT_EQ(tmp.num_vars(), to);
+      tmp = mdst;
+      EXPECT_EQ(tmp, src);
+    }
+  }
+}
+
+TEST(WordStorage, TenVariablesOverFourAndBack) {
+  rng r{13};
+  const truth_table big = random_table(r, 10);
+  const truth_table small = random_table(r, 4);
+  truth_table t = small;
+  t = big;
+  EXPECT_EQ(t, big);
+  t = small;
+  EXPECT_EQ(t, small);
+  t = truth_table{big};  // move-assign heap over inline
+  EXPECT_EQ(t, big);
+  t = truth_table{small};  // move-assign inline over heap
+  EXPECT_EQ(t, small);
+  EXPECT_EQ(t.words().size(), 1u);
+}
+
+TEST(WordStorage, SelfAssignKeepsContents) {
+  rng r{14};
+  for (const unsigned n : {0u, 4u, 6u, 7u, 10u}) {
+    truth_table t = random_table(r, n);
+    const std::string hex = t.to_hex();
+    truth_table& alias = t;
+    t = alias;
+    EXPECT_EQ(t.to_hex(), hex) << n;
+    t = std::move(alias);
+    EXPECT_EQ(t.to_hex(), hex) << n;
+  }
+}
+
+TEST(WordStorage, MovedFromHeapStorageIsEmptyAndReusable) {
+  word_storage big{16};
+  big[3] = 42;
+  word_storage stolen{std::move(big)};
+  EXPECT_EQ(stolen.size(), 16u);
+  EXPECT_EQ(stolen[3], 42u);
+  EXPECT_EQ(big.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  big = stolen;
+  EXPECT_TRUE(big == stolen);
+  big = word_storage{1};
+  EXPECT_EQ(big.size(), 1u);
+  EXPECT_EQ(big[0], 0u);
 }
 
 // ---------------------------------------------------------------------------
