@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "synth/spec.hpp"
@@ -48,10 +50,17 @@ std::vector<std::string> chain_strings(const result& r) {
   return out;
 }
 
+/// `memo_caps` (factor memo, failed-state memo) of {0, 0} keep the
+/// engine defaults.
 result run_with_threads(const truth_table& f, unsigned num_threads,
-                        double budget_seconds) {
+                        double budget_seconds,
+                        std::pair<std::size_t, std::size_t> memo_caps = {}) {
   stp_options options;
   options.num_threads = num_threads;
+  if (memo_caps.first != 0) {
+    options.factor_memo_cap = memo_caps.first;
+    options.failed_memo_cap = memo_caps.second;
+  }
   options.max_solutions = 0;  // enumerate all => counters comparable too
   stp_engine engine{options};
   run_context ctx{budget_seconds};
@@ -118,6 +127,37 @@ TEST(ParallelSynth, Npn4ChainsAndCountersBitIdenticalAcrossThreadCounts) {
   // fail loudly instead.  Well over half the classes solve in well under
   // a second each on the word-parallel kernels.
   EXPECT_GE(compared, 10u);
+}
+
+TEST(ParallelSynth, CappedMemosStayBitIdenticalAcrossThreadCounts) {
+  // Small memo caps force the capped fold of the per-task deltas, whose
+  // adoption order (the delta's insertion order) decides which entries
+  // survive; the default caps never reach that path on NPN4.  Classes 28
+  // and 33 have levels of more than one 64-DAG task, so the fold of their
+  // later deltas stops at the cap; 8 and 14 are cheap classes whose single
+  // task stops inserting at the cap.  Each base run takes 3 k to 500 k
+  // misses against a cap of 256.
+  constexpr std::pair<std::size_t, std::size_t> kCaps{256, 1024};
+  constexpr double kBudget = 10.0;
+  const auto functions = stpes::workload::npn4_classes();
+  ASSERT_GT(functions.size(), 33u);
+  std::size_t compared = 0;
+  for (const std::size_t i : {8u, 14u, 28u, 33u}) {
+    const auto& f = functions[i];
+    const result base = run_with_threads(f, 1, kBudget, kCaps);
+    if (base.outcome != status::success || !base.enumeration_complete) {
+      continue;
+    }
+    EXPECT_GT(base.counters.factor_memo_misses, 2 * kCaps.first)
+        << "npn4[" << i << "] no longer fills the capped memo";
+    for (const unsigned threads : {2u, 4u}) {
+      const result r = run_with_threads(f, threads, kBudget * 4, kCaps);
+      expect_identical(base, r, threads,
+                       "capped npn4[" + std::to_string(i) + "]");
+    }
+    ++compared;
+  }
+  EXPECT_EQ(compared, 4u);
 }
 
 TEST(ParallelSynth, SixInputFunctionMatchesAcrossThreadCounts) {
